@@ -1,8 +1,27 @@
 """Adaptive polynomial graph filters with homophily-aware bases and spectral diagnostics."""
 
+import os
+
 __version__ = "0.1.0"
 
-from .basis import (
+
+def _apply_thread_cap() -> None:
+    """Let UNIFILTER_THREADS cap the numeric thread pools.
+
+    The BLAS and OpenMP runtimes read their variables once, when numpy
+    loads, so this runs before any submodule imports numpy.
+    """
+    cap = os.environ.get("UNIFILTER_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
+from .basis import (  # noqa: E402  (after the thread cap)
     BasisTensor,
     angle_law_deviation,
     basis_spectrum,

@@ -1,15 +1,17 @@
 """Polynomial signal bases: homophily, orthonormal auxiliary, adaptive heterophily, blended.
 
 All constructors are per-column independent: column j of every hop matrix
-depends only on column j of the input, so construction may be vectorized
-or parallelized across columns without changing results.
+depends only on column j of the input. Construction therefore streams: one
+walker runs the recurrences hop by hop over blocks of columns, and each hop
+is written straight into the preallocated (K+1, n, d) result, so the peak
+memory is the result plus a few block-sized arrays.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,10 @@ EXHAUSTION_TOL = 1e-10
 # Below this cos(theta) the update factor overflows; the exact limit is u_k = v_k.
 COS_UNDERFLOW_TOL = 1e-8
 _ZERO_NORM = 1e-300
+# Bytes of one n x width block array. A walk keeps about ten of them alive, a
+# small share of the result; a 127 x 100 tree signal and a 50k x 16 signal
+# still fit in one block each, where a split cost 5-10% per build.
+_BLOCK_BYTES = 7 << 20
 
 
 @dataclass
@@ -60,6 +66,18 @@ class BasisTensor:
         return self.matrices.shape[2]
 
 
+@dataclass
+class _Health:
+    """What a walk met: degenerate columns, Krylov exhaustions, clamp events."""
+
+    degenerate: set[int] = field(default_factory=set)
+    exhausted: int = 0
+    clamps: int = 0
+
+    def flag(self, cols: slice, mask: np.ndarray) -> None:
+        self.degenerate.update((np.flatnonzero(mask) + cols.start).tolist())
+
+
 def _as_columns(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -77,6 +95,111 @@ def _normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, dead
 
 
+def _blocks(n: int, d: int) -> list[slice]:
+    """Column blocks of _BLOCK_BYTES per n-row array, each at least 2 wide.
+
+    numpy sums a lone (n, 1) column pairwise but wider blocks row by row,
+    so a 1-wide remainder would change the last bits; it joins the block
+    before it.
+    """
+    width = max(2, _BLOCK_BYTES // (8 * max(n, 1)))
+    edges = list(range(0, d, width)) + [d]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | None = None, *,
+          diffuse: bool = False, normalize: bool = True, krylov: bool = False,
+          reortho: bool = False, h_hat: float | None = None, full_width: bool = False):
+    """Run the basis recurrences hop by hop over column blocks of X.
+
+    Yields (k, cols, h, v, u) for k = 0..hops of each block `cols`: h is the
+    diffusion iterate (unit columns when `normalize`), v the orthonormal
+    Krylov vector, and u the heterophily vector for target homophily
+    `h_hat`. Parts not asked for are None; u needs v, so `h_hat` implies
+    `krylov`. Only v_{k-1} and v_{k-2} are kept, plus the block's history
+    under `reortho`. A yielded array is never written again. Degenerate
+    columns, exhaustions and clamp events accumulate in `health`;
+    exhaustion warns once, after the last block. `full_width` walks all
+    columns as one block, for consumers that reduce across columns.
+    """
+    health = _Health() if health is None else health
+    if h_hat is not None:
+        if not 0.0 <= h_hat <= 1.0:
+            raise ValueError("h_hat must lie in [0, 1]")
+        c = float(np.cos(0.5 * np.pi * (1.0 - h_hat)))
+        krylov = True
+    X = _as_columns(X)
+    n, d = X.shape
+    for cols in [slice(0, d)] if full_width else _blocks(n, d):
+        x0, zero = _normalize_columns(X[:, cols])
+        if krylov or (diffuse and normalize):
+            health.flag(cols, zero)
+        h = (x0 if normalize else X[:, cols]) if diffuse else None
+        v = u = None
+        if krylov:
+            v, vprev2, alive, history = x0, np.zeros_like(x0), ~zero, [x0]
+        if h_hat is not None:
+            u, s = x0, x0.copy()
+        yield 0, cols, h, v, u
+        for k in range(1, hops + 1):
+            if diffuse:
+                h = op.apply(h)
+                if normalize:
+                    h, dead = _normalize_columns(h)
+                    health.flag(cols, dead)
+            if krylov:
+                vprev = v
+                v = op.apply(vprev)
+                v -= np.sum(v * vprev, axis=0) * vprev
+                v -= np.sum(v * vprev2, axis=0) * vprev2
+                if reortho:
+                    for _ in range(2):
+                        for w in history:
+                            v -= np.sum(v * w, axis=0) * w
+                norms = np.linalg.norm(v, axis=0)
+                died = alive & (norms < EXHAUSTION_TOL)
+                health.exhausted += int(np.count_nonzero(died))
+                health.flag(cols, died)
+                alive &= ~died
+                v /= np.where(norms < EXHAUSTION_TOL, 1.0, norms)
+                v[:, ~alive] = 0.0
+                vprev2 = vprev
+                if reortho:
+                    history.append(v)
+            if h_hat is not None:
+                if c < COS_UNDERFLOW_TOL:
+                    unew = v
+                else:
+                    t, clipped = update_factor(np.sum(s * u, axis=0), k, c)
+                    health.clamps += int(np.count_nonzero(clipped & alive))
+                    unew = s / k + t * v
+                    norms = np.linalg.norm(unew, axis=0)
+                    unew /= np.where(norms < _ZERO_NORM, 1.0, norms)
+                # Exhausted columns freeze at their last valid vector.
+                u = np.where(alive, unew, u)
+                s += u
+            yield k, cols, h, v, u
+    if health.exhausted:
+        what = ("froze after Krylov exhaustion" if h_hat is not None
+                else "exhausted their Krylov subspace")
+        warnings.warn(f"{health.exhausted} column(s) {what}", stacklevel=4)
+
+
+def _build(op: PropagationOperator, X: np.ndarray, hops: int, mix,
+           **recurrences) -> tuple[np.ndarray, _Health]:
+    """Walk X and write mix(h, v, u) of every hop into one (K+1, n, d) buffer."""
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    X = _as_columns(X)
+    out = np.empty((hops + 1, *X.shape), dtype=np.float64)
+    health = _Health()
+    for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
+        out[k, :, cols] = mix(h, v, u)
+    return out, health
+
+
 def homophily_basis(
     op: PropagationOperator,
     X: np.ndarray,
@@ -89,29 +212,9 @@ def homophily_basis(
     blending mixes unit-scale parts; `normalize=False` keeps the raw
     powers. K successive sparse applications, O(K (m+n) d) total.
     """
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    X = _as_columns(X)
-    n, d = X.shape
-    out = np.empty((hops + 1, n, d), dtype=np.float64)
-    degenerate: set[int] = set()
-    cur = X
-    if normalize:
-        cur, dead = _normalize_columns(X)
-        degenerate.update(np.flatnonzero(dead).tolist())
-    out[0] = cur
-    for k in range(1, hops + 1):
-        cur = op.apply(cur)
-        if normalize:
-            cur, dead = _normalize_columns(cur)
-            degenerate.update(np.flatnonzero(dead).tolist())
-        out[k] = cur
-    return BasisTensor(
-        kind=HOMOPHILY,
-        hops=hops,
-        matrices=out,
-        degenerate_columns=frozenset(degenerate),
-    )
+    out, health = _build(op, X, hops, lambda h, v, u: h, diffuse=True, normalize=normalize)
+    return BasisTensor(kind=HOMOPHILY, hops=hops, matrices=out,
+                       degenerate_columns=frozenset(health.degenerate))
 
 
 def orthonormal_basis(
@@ -129,45 +232,9 @@ def orthonormal_basis(
     machine precision. Exhausted columns emit zero vectors from the hop
     where the residual vanished and are flagged degenerate.
     """
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    X = _as_columns(X)
-    n, d = X.shape
-    V = np.zeros((hops + 1, n, d), dtype=np.float64)
-    v0, zero = _normalize_columns(X)
-    degenerate: set[int] = set(np.flatnonzero(zero).tolist())
-    V[0] = v0
-    alive = ~zero
-    vprev = v0.copy()
-    vprev2 = np.zeros_like(v0)
-    exhausted = 0
-    for k in range(1, hops + 1):
-        v = op.apply(vprev)
-        v -= np.sum(v * vprev, axis=0) * vprev
-        v -= np.sum(v * vprev2, axis=0) * vprev2
-        if reortho:
-            for _ in range(2):
-                for j in range(k):
-                    v -= np.sum(v * V[j], axis=0) * V[j]
-        norms = np.linalg.norm(v, axis=0)
-        died = alive & (norms < EXHAUSTION_TOL)
-        if died.any():
-            exhausted += int(np.count_nonzero(died))
-            degenerate.update(np.flatnonzero(died).tolist())
-            alive &= ~died
-        v /= np.where(norms < EXHAUSTION_TOL, 1.0, norms)
-        v[:, ~alive] = 0.0
-        V[k] = v
-        vprev2 = vprev
-        vprev = v
-    if exhausted:
-        warnings.warn(f"{exhausted} column(s) exhausted their Krylov subspace", stacklevel=2)
-    return BasisTensor(
-        kind=ORTHONORMAL,
-        hops=hops,
-        matrices=V,
-        degenerate_columns=frozenset(degenerate),
-    )
+    out, health = _build(op, X, hops, lambda h, v, u: v, krylov=True, reortho=reortho)
+    return BasisTensor(kind=ORTHONORMAL, hops=hops, matrices=out,
+                       degenerate_columns=frozenset(health.degenerate))
 
 
 def update_factor(s_dot_u: np.ndarray, k: int, cos_theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -198,57 +265,11 @@ def heterophily_basis(
     columns freeze at their last valid vector; zero input columns emit
     zeros throughout.
     """
-    if not 0.0 <= h_hat <= 1.0:
-        raise ValueError("h_hat must lie in [0, 1]")
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    X = _as_columns(X)
-    n, d = X.shape
-    theta = 0.5 * np.pi * (1.0 - h_hat)
-    c = float(np.cos(theta))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vbasis = orthonormal_basis(op, X, hops, reortho=reortho)
-    V = vbasis.matrices
-    zero = np.zeros(d, dtype=bool)
-    zero[[j for j in vbasis.degenerate_columns if np.linalg.norm(X[:, j]) < _ZERO_NORM]] = True
-
-    U = np.zeros((hops + 1, n, d), dtype=np.float64)
-    u0, _ = _normalize_columns(X)
-    U[0] = u0
-    s = u0.copy()
-    clamps = 0
-    exhausted_cols: set[int] = set()
-    for k in range(1, hops + 1):
-        vk = V[k]
-        alive = (np.linalg.norm(vk, axis=0) > 0.5) & ~zero
-        dead = ~alive
-        if c < COS_UNDERFLOW_TOL:
-            unew = vk
-        else:
-            s_dot_u = np.sum(s * U[k - 1], axis=0)
-            t, clipped = update_factor(s_dot_u, k, c)
-            clamps += int(np.count_nonzero(clipped & alive))
-            unew = s / k + t * vk
-            norms = np.linalg.norm(unew, axis=0)
-            unew = unew / np.where(norms < _ZERO_NORM, 1.0, norms)
-        U[k] = np.where(alive[None, :], unew, U[k - 1])
-        exhausted_cols.update(np.flatnonzero(dead & ~zero).tolist())
-        s = s + U[k]
-    if exhausted_cols:
-        warnings.warn(
-            f"{len(exhausted_cols)} column(s) froze after Krylov exhaustion", stacklevel=2
-        )
-    degenerate = set(vbasis.degenerate_columns) | set(np.flatnonzero(zero).tolist())
-    return BasisTensor(
-        kind=HETEROPHILY,
-        hops=hops,
-        matrices=U,
-        theta=theta,
-        degenerate_columns=frozenset(degenerate),
-        clamp_events=clamps,
-    )
+    out, health = _build(op, X, hops, lambda h, v, u: u, reortho=reortho, h_hat=h_hat)
+    return BasisTensor(kind=HETEROPHILY, hops=hops, matrices=out,
+                       theta=0.5 * np.pi * (1.0 - h_hat),
+                       degenerate_columns=frozenset(health.degenerate),
+                       clamp_events=health.clamps)
 
 
 def unibasis(
@@ -260,7 +281,8 @@ def unibasis(
     reortho: bool = False,
     normalize_homophily: bool = True,
 ) -> BasisTensor:
-    """Convex blend of the homophily and heterophily bases, hop by hop.
+    """Convex blend tau*h_k + (1-tau)*u_k of the homophily and heterophily
+    bases, written hop by hop into one buffer.
 
     tau=1 reproduces the homophily basis bit for bit and skips the
     heterophily construction entirely; tau=0 likewise returns the
@@ -268,39 +290,15 @@ def unibasis(
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    theta = 0.5 * np.pi * (1.0 - h_hat)
-    if tau == 1.0:
-        hom = homophily_basis(op, X, hops, normalize=normalize_homophily)
-        return BasisTensor(
-            kind=UNI,
-            hops=hops,
-            matrices=hom.matrices,
-            theta=theta,
-            tau=tau,
-            degenerate_columns=hom.degenerate_columns,
-        )
-    het = heterophily_basis(op, X, hops, h_hat, reortho=reortho)
-    if tau == 0.0:
-        return BasisTensor(
-            kind=UNI,
-            hops=hops,
-            matrices=het.matrices,
-            theta=theta,
-            tau=tau,
-            degenerate_columns=het.degenerate_columns,
-            clamp_events=het.clamp_events,
-        )
-    hom = homophily_basis(op, X, hops, normalize=normalize_homophily)
-    blend = tau * hom.matrices + (1.0 - tau) * het.matrices
-    return BasisTensor(
-        kind=UNI,
-        hops=hops,
-        matrices=blend,
-        theta=theta,
-        tau=tau,
-        degenerate_columns=hom.degenerate_columns | het.degenerate_columns,
-        clamp_events=het.clamp_events,
-    )
+
+    def mix(h, v, u):
+        return h if tau == 1.0 else u if tau == 0.0 else tau * h + (1.0 - tau) * u
+
+    out, health = _build(op, X, hops, mix, diffuse=tau > 0.0, normalize=normalize_homophily,
+                         reortho=reortho, h_hat=None if tau == 1.0 else h_hat)
+    return BasisTensor(kind=UNI, hops=hops, matrices=out, theta=0.5 * np.pi * (1.0 - h_hat),
+                       tau=tau, degenerate_columns=frozenset(health.degenerate),
+                       clamp_events=health.clamps)
 
 
 def basis_spectrum(g: Graph, b: BasisTensor) -> list[float]:

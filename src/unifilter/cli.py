@@ -6,8 +6,8 @@ manifest.json recording the resolved configuration, the seed, and input
 file digests; reruns with an equal manifest produce byte-identical metric
 files (timestamps aside).
 
-Heavy imports happen inside handlers so UNIFILTER_THREADS can cap the
-numeric thread pools before numpy loads.
+UNIFILTER_THREADS caps the numeric thread pools; the package applies it
+when it is imported, before numpy loads.
 """
 
 from __future__ import annotations
@@ -15,25 +15,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-__version__ = "0.1.0"
+from . import __version__
 
 
 class UsageError(Exception):
     """Flag or input validation failure; maps to exit code 2."""
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("UNIFILTER_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _sha256(path: Path) -> str:
@@ -501,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ORTHONORMAL, UNI, heterophily_basis, homophily_basis
+from .basis import ORTHONORMAL, UNI, _walk
 from .graph import Graph, LabeledDataset, Split, homophily_ratio, propagation_operator
 from .model import TrainConfig, train
 from .rng import stream, substream_seed
@@ -278,7 +278,9 @@ def energy_trajectory(
     """Dirichlet energy of the blended hop matrices, per tau and hop.
 
     Hop 0 is included so the common starting energy is visible in the
-    table. The homophily estimate defaults to the full-graph ratio.
+    table. The homophily estimate defaults to the full-graph ratio. Hops
+    are walked once and every tau is blended per hop, so memory stays a
+    few n x d arrays whatever `k_max` is; rows come out tau by tau.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -286,14 +288,12 @@ def energy_trajectory(
     if h_hat is None:
         h_hat = homophily_ratio(g, dataset.labels)
     op = propagation_operator(g, "self-loops" if self_loops else "no-self-loops")
-    hom = homophily_basis(op, dataset.features, k_max)
-    het = heterophily_basis(op, dataset.features, k_max, h_hat)
-    rows: list[tuple[float, int, float]] = []
-    for tau in tau_grid:
-        for k in range(k_max + 1):
-            blend = tau * hom.matrices[k] + (1.0 - tau) * het.matrices[k]
-            rows.append((float(tau), k, dirichlet_energy(g, blend)))
-    return rows
+    energies: list[list[float]] = [[] for _ in tau_grid]
+    for _, _, h, _, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat,
+                               full_width=True):
+        for row, tau in zip(energies, tau_grid):
+            row.append(dirichlet_energy(g, tau * h + (1.0 - tau) * u))
+    return [(float(tau), k, e) for tau, row in zip(tau_grid, energies) for k, e in enumerate(row)]
 
 
 def oversquashing_experiment(

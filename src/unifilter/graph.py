@@ -253,6 +253,10 @@ class Split:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Split":
+        missing = [k for k in ("train", "val", "test") if not isinstance(d, dict) or k not in d]
+        if missing:
+            raise ValueError("split must hold 'train', 'val' and 'test' index lists; "
+                             f"missing {', '.join(map(repr, missing))}")
         return cls(
             train=np.asarray(d["train"], dtype=np.int64),
             val=np.asarray(d["val"], dtype=np.int64),
@@ -285,8 +289,12 @@ class LabeledDataset:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """CSV feature matrix, n rows x d columns, no header."""
+    """CSV feature matrix, n rows x d columns, no header; every value finite."""
     X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise ValueError(f"non-finite feature value at row {row}, column {col} of {path}")
     return X
 
 

@@ -79,6 +79,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if self.hops < 0:
             raise ValueError("hops must be >= 0")
         if not 0.0 <= self.tau <= 1.0:

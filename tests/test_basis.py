@@ -1,7 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_connected_graph, two_node_edge
+from unifilter import basis as basis_module
 from unifilter.basis import (
     angle_law_deviation,
     basis_spectrum,
@@ -246,3 +250,97 @@ def test_export_basis_writes_matrices_and_meta(tmp_path):
     assert meta["theta"] == pytest.approx(0.375 * np.pi)
     hop0 = np.loadtxt(tmp_path / "hop_0.csv", delimiter=",")
     np.testing.assert_allclose(hop0, b.matrices[0], atol=1e-15)
+
+
+def _recorded(fn, *args, **kwargs):
+    """Call a constructor; return the basis and the warning texts it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        b = fn(*args, **kwargs)
+    return b, [str(w.message) for w in caught]
+
+
+def _exhausting_signal():
+    # On a regular graph the all-ones column is a fixed point of P and dies
+    # at hop 1; with K >= n every column runs out of Krylov directions.
+    g = sample_regular_graph(12, 4, stream(21, "reg"))
+    X = stream(21, "sig").standard_normal((12, 4))
+    X[:, 1] = 0.0
+    X[:, 2] = 1.0
+    return g, X, 14
+
+
+@pytest.mark.parametrize("kind", ["no-self-loops", "self-loops"])
+@pytest.mark.parametrize("reortho", [False, True])
+@pytest.mark.parametrize("h_hat", [0.0, 0.3, 1.0])
+def test_unibasis_is_the_exact_blend_of_its_parts(kind, reortho, h_hat):
+    g, X, hops = _exhausting_signal()
+    op = propagation_operator(g, kind)
+    tau = 0.4
+    hom, hom_warn = _recorded(homophily_basis, op, X, hops)
+    het, het_warn = _recorded(heterophily_basis, op, X, hops, h_hat, reortho=reortho)
+    uni, uni_warn = _recorded(unibasis, op, X, hops, h_hat, tau, reortho=reortho)
+    assert np.array_equal(uni.matrices, tau * hom.matrices + (1.0 - tau) * het.matrices)
+    assert uni.degenerate_columns == hom.degenerate_columns | het.degenerate_columns
+    assert {1, 2} <= uni.degenerate_columns
+    assert uni.clamp_events == het.clamp_events
+    assert hom_warn == [] and uni_warn == het_warn
+    assert len(het_warn) == 1 and "froze after Krylov exhaustion" in het_warn[0]
+
+
+def _all_constructors(op, X, hops):
+    yield homophily_basis(op, X, hops)
+    yield homophily_basis(op, X, hops, normalize=False)
+    for reortho in (False, True):
+        yield orthonormal_basis(op, X, hops, reortho=reortho)
+        yield heterophily_basis(op, X, hops, 0.3, reortho=reortho)
+        for tau in (0.0, 0.6, 1.0):
+            yield unibasis(op, X, hops, 0.3, tau, reortho=reortho)
+
+
+def test_hop_prefix_property():
+    g = random_connected_graph(40, 0.15, seed=22)
+    op = propagation_operator(g)
+    X = stream(22, "sig").standard_normal((40, 3))
+    X[:, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for short, long in zip(_all_constructors(op, X, 4), _all_constructors(op, X, 9)):
+            assert np.array_equal(short.matrices, long.matrices[:5]), short.kind
+
+
+def test_column_blocks_do_not_change_results(monkeypatch):
+    g = random_connected_graph(30, 0.2, seed=23)
+    op = propagation_operator(g, "self-loops")
+    X = stream(23, "sig").standard_normal((30, 7))
+    X[:, 4] = 0.0
+    blocks = [(s.start, s.stop) for s in basis_module._blocks(30, 7)]
+    assert blocks == [(0, 7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        whole = list(_all_constructors(op, X, 8))
+        # Two columns' worth of bytes: blocks of 2, the lone last column joined.
+        monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 2 * 8 * 30)
+        assert [(s.start, s.stop) for s in basis_module._blocks(30, 7)] == [(0, 2), (2, 4), (4, 7)]
+        split = list(_all_constructors(op, X, 8))
+    for a, b in zip(whole, split):
+        assert np.array_equal(a.matrices, b.matrices), a.kind
+        assert a.degenerate_columns == b.degenerate_columns
+        assert a.clamp_events == b.clamp_events
+
+
+def test_unibasis_peak_memory_stays_near_its_result(monkeypatch):
+    # Streaming bound: the result plus a few block-sized arrays, never a
+    # second copy of the (K+1, n, d) tensor. A deterministic count.
+    g = random_connected_graph(2000, 0.004, seed=24)
+    op = propagation_operator(g)
+    X = stream(24, "sig").standard_normal((2000, 600))
+    monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 100 * 8 * 2000)
+    assert len(basis_module._blocks(2000, 600)) == 6
+    tracemalloc.start()
+    try:
+        b = unibasis(op, X, 10, 0.3, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * b.matrices.nbytes, peak / b.matrices.nbytes

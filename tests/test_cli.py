@@ -2,6 +2,7 @@
 artifact layout, and rerun determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -308,3 +309,51 @@ def test_manifest_written_once_with_digests(toy_dir, tmp_path):
     assert len(manifest["inputs"]) == 4
     for digest in manifest["inputs"].values():
         assert len(digest) == 64
+
+
+@pytest.mark.parametrize("case", ["hidden", "max-epochs", "nan-feature", "split-without-val"])
+def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
+    args = toy_train_args(toy_dir, tmp_path / "out")
+    if case in ("hidden", "max-epochs"):
+        args[args.index(f"--{case}") + 1] = 0
+        expected = f"{case.replace('-', '_')} must be >= 1"
+    elif case == "nan-feature":
+        X = np.loadtxt(toy_dir / "features.csv", delimiter=",")
+        X[3, 1] = np.nan
+        np.savetxt(tmp_path / "features.csv", X, delimiter=",")
+        args[args.index("--features") + 1] = tmp_path / "features.csv"
+        expected = "non-finite feature value at row 4, column 2"
+    else:
+        split = json.loads((toy_dir / "split.json").read_text())
+        del split["val"]
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        args[args.index("--split") + 1] = tmp_path / "split.json"
+        expected = "missing 'val'"
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and expected in proc.stderr, proc.stderr
+    assert "test_acc" not in proc.stdout
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_version_flag_reports_the_package_version():
+    import unifilter
+
+    proc = run_cli("--version")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == unifilter.__version__
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc thread listing")
+def test_thread_cap_applies_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["UNIFILTER_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, unifilter; print(len(os.listdir('/proc/self/task')))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
