@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,7 +27,15 @@ class UsageError(Exception):
     """Flag or input validation failure; maps to exit code 2."""
 
 
-def _sha256(path: Path) -> str:
+# Flags that name input files: main checks that each given one exists and
+# the manifest digests the same files. Unit-interval flags are checked by
+# main in every command that has them.
+FILE_FLAGS = ("checkpoint", "edges", "features", "labels", "split", "base_edges",
+              "base_labels")
+UNIT_FLAGS = ("tau", "hom_ratio", "target")
+
+
+def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -34,19 +43,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
-                    inputs: list[Path]) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg = {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()}
+def _input_files(args: argparse.Namespace) -> list[str]:
+    return [getattr(args, f) for f in FILE_FLAGS if getattr(args, f, None) is not None]
+
+
+def _write_manifest(args: argparse.Namespace) -> None:
     manifest = {
-        "command": command,
-        "config": cfg,
-        "seed": getattr(args, "seed", None),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": args.seed,
+        "inputs": {p: _sha256(p) for p in _input_files(args)},
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    (outdir / "manifest.json").write_text(
+    (Path(args.out_dir) / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
 
@@ -56,31 +66,16 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _require_files(*paths: Path) -> list[Path]:
-    for p in paths:
-        if not p.is_file():
-            raise UsageError(f"missing input file: {p}")
-    return list(paths)
-
-
 def _check_unit(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise UsageError(f"{name} must be in [0,1]")
     return value
 
 
-def _load_dataset_args(args: argparse.Namespace, need_split: bool):
+def _load_dataset_args(args: argparse.Namespace):
     from .graph import load_dataset
 
-    paths = [Path(args.edges), Path(args.features), Path(args.labels)]
-    split = getattr(args, "split", None)
-    if need_split:
-        if split is None:
-            raise UsageError("--split is required")
-        paths.append(Path(split))
-    _require_files(*paths)
-    return load_dataset(args.edges, args.features, args.labels,
-                        split if need_split else None)
+    return load_dataset(args.edges, args.features, args.labels, getattr(args, "split", None))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -89,13 +84,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     tau = args.tau
     if args.tau_preset is not None:
         try:
-            tau = tau_preset(args.tau_preset)
+            tau = _check_unit(tau_preset(args.tau_preset), "tau")
         except KeyError as exc:
             raise UsageError(str(exc)) from None
-    _check_unit(tau, "tau")
-    if args.hom_ratio is not None:
-        _check_unit(args.hom_ratio, "hom-ratio")
-    ds = _load_dataset_args(args, need_split=True)
+    ds = _load_dataset_args(args)
     cfg = TrainConfig(
         hops=args.hops, tau=tau, lr=args.lr, weight_decay=args.weight_decay,
         hidden=args.hidden, layers=args.layers, dropout=args.dropout,
@@ -116,51 +108,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
     report.write_curve_csv(out / "loss_curve.csv")
-    save_checkpoint(model, _checkpoint_config(cfg, report.h_hat), out / "checkpoint.json")
-    _write_manifest(out, "train", args,
-                    [Path(args.edges), Path(args.features), Path(args.labels), Path(args.split)])
+    save_checkpoint(model, asdict(replace(cfg, h_hat=report.h_hat)), out / "checkpoint.json")
     print(f"h_hat={report.h_hat!r}")
     print(f"best_val_acc={report.best_val_acc!r}")
     print(f"test_acc={report.test_acc!r}")
     return 0
 
 
-def _checkpoint_config(cfg, h_hat: float) -> dict:
-    return {
-        "hops": cfg.hops, "tau": cfg.tau, "basis": cfg.basis, "h_hat": h_hat,
-        "hidden": cfg.hidden, "layers": cfg.layers, "dropout": cfg.dropout,
-        "self_loops": cfg.self_loops, "raw_homophily": cfg.raw_homophily,
-        "reortho": cfg.reortho, "seed": cfg.seed,
-    }
-
-
 def cmd_basis(args: argparse.Namespace) -> int:
-    from .basis import (angle_law_deviation, export_basis, heterophily_basis,
-                        homophily_basis, orthonormality_deviation,
-                        orthonormal_basis, unibasis)
-    from .graph import load_features, load_graph, propagation_operator
+    from .basis import (HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, angle_law_deviation,
+                        export_basis, orthonormality_deviation)
+    from .graph import load_features, load_graph
+    from .model import TrainConfig, build_basis
 
-    _require_files(Path(args.edges), Path(args.features))
+    kind = {"homo": HOMOPHILY, "hetero": HETEROPHILY, "ortho": ORTHONORMAL,
+            "uni": UNI}[args.mode]
+    if kind in (HETEROPHILY, UNI) and args.hom_ratio is None:
+        raise UsageError(f"--hom-ratio is required for mode {args.mode}")
     X = load_features(args.features)
     g = load_graph(args.edges, X.shape[0])
-    op = propagation_operator(g, "self-loops" if args.self_loops else "no-self-loops")
-    if args.mode in ("hetero", "uni") and args.hom_ratio is None:
-        raise UsageError(f"--hom-ratio is required for mode {args.mode}")
-    if args.hom_ratio is not None:
-        _check_unit(args.hom_ratio, "hom-ratio")
-    if args.mode == "homo":
-        b = homophily_basis(op, X, args.hops, normalize=not args.raw_homophily)
-    elif args.mode == "hetero":
-        b = heterophily_basis(op, X, args.hops, args.hom_ratio, reortho=args.reortho)
-    elif args.mode == "ortho":
-        b = orthonormal_basis(op, X, args.hops, reortho=args.reortho)
-    else:
-        _check_unit(args.tau, "tau")
-        b = unibasis(op, X, args.hops, args.hom_ratio, args.tau, reortho=args.reortho,
-                     normalize_homophily=not args.raw_homophily)
-    out = _outdir(args)
-    export_basis(b, out)
-    _write_manifest(out, "basis", args, [Path(args.edges), Path(args.features)])
+    b = build_basis(g, X, TrainConfig(
+        hops=args.hops, tau=args.tau, basis=kind, self_loops=args.self_loops,
+        raw_homophily=args.raw_homophily, reortho=args.reortho, h_hat=args.hom_ratio))
+    export_basis(b, _outdir(args))
     if args.check:
         if args.mode == "hetero":
             off, diag = angle_law_deviation(b)
@@ -177,40 +147,29 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .basis import basis_spectrum
-    from .graph import load_dataset
     from .model import TrainConfig, build_basis, load_checkpoint
     from .spectral import SpectrumReport
 
-    _require_files(Path(args.checkpoint), Path(args.edges), Path(args.features),
-                   Path(args.labels))
     model, ckcfg = load_checkpoint(args.checkpoint)
-    hops = int(ckcfg["hops"])
-    if args.hops is not None and args.hops != hops:
-        raise UsageError(f"checkpoint was trained with K={hops}, got --hops {args.hops}")
-    if model.w.shape[0] != hops + 1:
+    try:
+        cfg = TrainConfig(**ckcfg)
+    except TypeError as exc:
+        raise ValueError(f"{args.checkpoint}: bad config: {exc}") from None
+    if cfg.h_hat is None:
+        raise ValueError(f"{args.checkpoint}: config has no h_hat")
+    if args.hops is not None and args.hops != cfg.hops:
+        raise UsageError(f"checkpoint was trained with K={cfg.hops}, got --hops {args.hops}")
+    if model.w.shape[0] != cfg.hops + 1:
         raise UsageError("checkpoint weight vector does not match its hop count")
-    ds = load_dataset(args.edges, args.features, args.labels)
-    cfg = TrainConfig(
-        hops=hops, tau=float(ckcfg.get("tau", 0.5)), basis=ckcfg.get("basis", "uni"),
-        hidden=int(ckcfg.get("hidden", 64)), layers=int(ckcfg.get("layers", 2)),
-        dropout=float(ckcfg.get("dropout", 0.0)),
-        self_loops=bool(ckcfg.get("self_loops", False)),
-        raw_homophily=bool(ckcfg.get("raw_homophily", False)),
-        reortho=bool(ckcfg.get("reortho", False)),
-        h_hat=float(ckcfg.get("h_hat", 0.5)),
-    )
-    basis = build_basis(ds, cfg, cfg.h_hat)
+    ds = _load_dataset_args(args)
+    basis = build_basis(ds.graph, ds.features, cfg)
     freqs = basis_spectrum(ds.graph, basis)
     report = SpectrumReport(
-        entries=[(k, freqs[k], float(model.w[k])) for k in range(hops + 1)],
+        entries=[(k, freqs[k], float(model.w[k])) for k in range(cfg.hops + 1)],
         kind=basis.kind, dataset=args.dataset_name,
     )
-    out = _outdir(args)
-    report.write_csv(out / "spectrum.csv")
-    _write_manifest(out, "spectrum", args,
-                    [Path(args.checkpoint), Path(args.edges), Path(args.features),
-                     Path(args.labels)])
-    print(f"rows={hops + 1}")
+    report.write_csv(_outdir(args) / "spectrum.csv")
+    print(f"rows={cfg.hops + 1}")
     return 0
 
 
@@ -218,26 +177,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .datasets import SynthSpec, planted_homophily_graph, synth_variable_h, write_dataset
     from .graph import load_graph, load_labels
 
-    _check_unit(args.target, "target")
     if args.base_edges is not None or args.base_labels is not None:
         if args.base_edges is None or args.base_labels is None:
             raise UsageError("--base-edges and --base-labels go together")
-        _require_files(Path(args.base_edges), Path(args.base_labels))
         labels = load_labels(args.base_labels)
         g = load_graph(args.base_edges, labels.shape[0])
-        inputs = [Path(args.base_edges), Path(args.base_labels)]
     else:
         g, labels = planted_homophily_graph(
             args.planted_nodes, args.planted_edges, args.planted_classes,
             args.planted_h, seed=args.seed)
-        inputs = []
     spec = SynthSpec(base_graph=g, base_labels=labels, target_h=args.target,
                      feature_dim=args.feature_dim, tolerance=args.tolerance,
                      seed=args.seed)
     ds, meta = synth_variable_h(spec)
-    out = _outdir(args)
-    write_dataset(ds, out, meta=meta)
-    _write_manifest(out, "synth", args, inputs)
+    write_dataset(ds, _outdir(args), meta=meta)
     print(f"achieved_h={meta['achieved_h']!r}")
     print(f"reassignments={meta['reassignments']}")
     return 0
@@ -248,11 +201,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
     ds = binary_tree_dataset(TreeSpec(depth=args.depth, feature_dim=args.feature_dim,
                                       num_classes=args.classes, seed=args.seed))
-    out = _outdir(args)
-    write_dataset(ds, out, meta={"depth": args.depth, "seed": args.seed,
-                                 "num_classes": args.classes,
-                                 "feature_dim": args.feature_dim})
-    _write_manifest(out, "tree", args, [])
+    write_dataset(ds, _outdir(args), meta={"depth": args.depth, "seed": args.seed,
+                                           "num_classes": args.classes,
+                                           "feature_dim": args.feature_dim})
     print(f"n={ds.graph.n}")
     print(f"m={ds.graph.m}")
     return 0
@@ -265,7 +216,6 @@ def cmd_splits(args: argparse.Namespace) -> int:
     out = _outdir(args)
     for i, split in enumerate(splits):
         (out / f"split_{i}.json").write_text(json.dumps(split.to_dict()), encoding="utf-8")
-    _write_manifest(out, "splits", args, [])
     sizes = splits[0]
     print(f"sizes={len(sizes.train)}/{len(sizes.val)}/{len(sizes.test)}")
     return 0
@@ -274,16 +224,13 @@ def cmd_splits(args: argparse.Namespace) -> int:
 def cmd_estimate_h(args: argparse.Namespace) -> int:
     from .graph import estimate_homophily, load_graph, load_labels, load_split
 
-    _require_files(Path(args.edges), Path(args.labels), Path(args.split))
     labels = load_labels(args.labels)
     g = load_graph(args.edges, labels.shape[0])
     split = load_split(args.split)
     h_hat = estimate_homophily(g, labels, split.train)
     if args.out_dir is not None:
-        out = _outdir(args)
-        (out / "h_hat.json").write_text(json.dumps({"h_hat": h_hat}), encoding="utf-8")
-        _write_manifest(out, "estimate-h", args,
-                        [Path(args.edges), Path(args.labels), Path(args.split)])
+        (_outdir(args) / "h_hat.json").write_text(json.dumps({"h_hat": h_hat}),
+                                                  encoding="utf-8")
     print(f"h_hat={h_hat!r}")
     return 0
 
@@ -292,7 +239,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     from .datasets import ablation_basis_variants
     from .model import TrainConfig
 
-    ds = _load_dataset_args(args, need_split=False)
+    ds = _load_dataset_args(args)
     cfg = TrainConfig(hops=args.hops, lr=args.lr, hidden=args.hidden,
                       layers=args.layers, dropout=args.dropout,
                       patience=args.patience, max_epochs=args.max_epochs,
@@ -305,8 +252,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         gap = table["gap"].get(variant, 0.0)
         lines.append(f"{variant},{mean!r},{gap!r}")
     (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out, "ablate", args,
-                    [Path(args.edges), Path(args.features), Path(args.labels)])
     for variant, gap in table["gap"].items():
         print(f"gap_{variant}={gap!r}")
     return 0
@@ -314,9 +259,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     from .datasets import energy_trajectory
-    from .graph import load_dataset
 
-    ds = _load_dataset_args(args, need_split=False)
+    ds = _load_dataset_args(args)
     tau_grid = tuple(float(t) for t in args.tau_grid.split(","))
     for t in tau_grid:
         _check_unit(t, "tau-grid entry")
@@ -326,8 +270,6 @@ def cmd_energy(args: argparse.Namespace) -> int:
     for tau, k, e in rows:
         lines.append(f"{tau!r},{k},{e!r}")
     (out / "energy.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out, "energy", args,
-                    [Path(args.edges), Path(args.features), Path(args.labels)])
     print(f"rows={len(rows)}")
     return 0
 
@@ -346,7 +288,6 @@ def cmd_squash(args: argparse.Namespace) -> int:
         for k, acc in per_k.items():
             lines.append(f"{model},{k},{acc!r}")
     (out / "squash.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out, "squash", args, [])
     for model, per_k in table["mean"].items():
         accs = [per_k[k] for k in k_grid]
         print(f"spread_{model}={max(accs) - min(accs)!r}")
@@ -363,11 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", type=str, required=out_required)
 
+    def add_files(p: argparse.ArgumentParser, *flags: str, required: bool = True) -> None:
+        for flag in flags:
+            p.add_argument(f"--{flag}", required=required)
+
     p = sub.add_parser("train", help="train a filter and report test accuracy")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--split", required=True)
+    add_files(p, "edges", "features", "labels", "split")
     p.add_argument("--hops", type=int, default=10)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--tau-preset", default=None,
@@ -393,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("basis", help="construct and export a basis")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
+    add_files(p, "edges", "features")
     p.add_argument("--mode", choices=["homo", "hetero", "ortho", "uni"], required=True)
     p.add_argument("--hops", type=int, default=10)
     p.add_argument("--hom-ratio", type=float, default=None)
@@ -408,10 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("spectrum", help="per-hop frequency/weight report for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
+    add_files(p, "checkpoint", "edges", "features", "labels")
     p.add_argument("--hops", type=int, default=None)
     p.add_argument("--dataset-name", default="")
     add_common(p)
@@ -421,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tolerance", type=float, default=0.005)
     p.add_argument("--feature-dim", type=int, default=100)
-    p.add_argument("--base-edges", default=None)
-    p.add_argument("--base-labels", default=None)
+    add_files(p, "base-edges", "base-labels", required=False)
     p.add_argument("--planted-nodes", type=int, default=2708)
     p.add_argument("--planted-edges", type=int, default=5429)
     p.add_argument("--planted-classes", type=int, default=7)
@@ -445,17 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_splits)
 
     p = sub.add_parser("estimate-h", help="homophily ratio from training labels")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=None)
+    add_files(p, "edges", "labels", "split")
+    add_common(p, out_required=False)
     p.set_defaults(func=cmd_estimate_h)
 
     p = sub.add_parser("ablate", help="basis-variant accuracy table")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
+    add_files(p, "edges", "features", "labels")
     p.add_argument("--hops", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--hidden", type=int, default=32)
@@ -469,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("energy", help="Dirichlet energy per hop and tau")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
+    add_files(p, "edges", "features", "labels")
     p.add_argument("--tau-grid", default="0.2,0.4,0.8,1.0")
     p.add_argument("--k-max", type=int, default=100)
     p.add_argument("--hom-ratio", type=float, default=None)
@@ -491,10 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for flag in UNIT_FLAGS:
+            if getattr(args, flag, None) is not None:
+                _check_unit(getattr(args, flag), flag.replace("_", "-"))
+        for path in _input_files(args):
+            if not Path(path).is_file():
+                raise UsageError(f"missing input file: {path}")
+        code = args.func(args)
+        if code == 0 and args.out_dir is not None:
+            _write_manifest(args)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

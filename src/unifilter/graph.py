@@ -289,8 +289,12 @@ class LabeledDataset:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """CSV feature matrix, n rows x d columns, no header; every value finite."""
-    X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """CSV feature matrix, n rows x d columns, no header; not empty, every value finite."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if X.shape[0] == 0:
+        raise ValueError(f"no feature rows in {path}")
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         row, col = bad[0] + 1

@@ -26,7 +26,8 @@ from .basis import (
     orthonormal_basis,
     unibasis,
 )
-from .graph import NO_SELF_LOOPS, SELF_LOOPS, LabeledDataset, estimate_homophily, propagation_operator
+from .graph import (NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset, estimate_homophily,
+                    propagation_operator)
 from .rng import stream
 
 ADAM_BETA1 = 0.9
@@ -345,19 +346,18 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def build_basis(dataset: LabeledDataset, cfg: TrainConfig, h_hat: float) -> BasisTensor:
-    kind = SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS
-    op = propagation_operator(dataset.graph, kind)
-    X = dataset.features
+def build_basis(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> BasisTensor:
+    """The basis `cfg` names over `graph` and features `X`, at `cfg.h_hat`."""
+    op = propagation_operator(graph, SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS)
     if cfg.basis == UNI:
         return unibasis(
-            op, X, cfg.hops, h_hat, cfg.tau,
+            op, X, cfg.hops, cfg.h_hat, cfg.tau,
             reortho=cfg.reortho, normalize_homophily=not cfg.raw_homophily,
         )
     if cfg.basis == HOMOPHILY:
         return homophily_basis(op, X, cfg.hops, normalize=not cfg.raw_homophily)
     if cfg.basis == HETEROPHILY:
-        return heterophily_basis(op, X, cfg.hops, h_hat, reortho=cfg.reortho)
+        return heterophily_basis(op, X, cfg.hops, cfg.h_hat, reortho=cfg.reortho)
     return orthonormal_basis(op, X, cfg.hops, reortho=cfg.reortho)
 
 
@@ -389,7 +389,7 @@ def train(
         fallback = any("falling back" in str(w.message) for w in caught)
 
     if basis is None:
-        basis = build_basis(dataset, cfg, h_hat)
+        basis = build_basis(dataset.graph, dataset.features, replace(cfg, h_hat=h_hat))
 
     rng_init = stream(cfg.seed, "init")
     rng_drop = stream(cfg.seed, "dropout")

@@ -1,10 +1,13 @@
 """Golden-run suite for the command line: exit codes, key=value lines,
 artifact layout, and rerun determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from unifilter.datasets import write_dataset
 from unifilter.graph import Graph, LabeledDataset
 from unifilter.datasets import make_splits
+from unifilter.model import TrainConfig
 from unifilter.rng import stream
 
 
@@ -56,6 +60,20 @@ def toy_dir(tmp_path_factory):
                         num_classes=2)
     write_dataset(ds, outdir)
     return outdir
+
+
+@pytest.fixture(scope="module")
+def toy_run(toy_dir, tmp_path_factory):
+    """Output directory of one `train` run on the toy dataset."""
+    out = tmp_path_factory.mktemp("toy-run")
+    proc = run_cli(*toy_train_args(toy_dir, out))
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def toy_data_args(toy_dir):
+    return ["--edges", toy_dir / "edges.txt", "--features", toy_dir / "features.csv",
+            "--labels", toy_dir / "labels.txt"]
 
 
 def toy_train_args(toy_dir, out):
@@ -311,8 +329,11 @@ def test_manifest_written_once_with_digests(toy_dir, tmp_path):
         assert len(digest) == 64
 
 
-@pytest.mark.parametrize("case", ["hidden", "max-epochs", "nan-feature", "split-without-val"])
+@pytest.mark.parametrize("case", ["hidden", "max-epochs", "nan-feature", "empty-features",
+                                  "split-without-val"])
 def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
+    # The output directory exists, so a manifest written on failure would show.
+    (tmp_path / "out").mkdir()
     args = toy_train_args(toy_dir, tmp_path / "out")
     if case in ("hidden", "max-epochs"):
         args[args.index(f"--{case}") + 1] = 0
@@ -323,6 +344,10 @@ def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
         np.savetxt(tmp_path / "features.csv", X, delimiter=",")
         args[args.index("--features") + 1] = tmp_path / "features.csv"
         expected = "non-finite feature value at row 4, column 2"
+    elif case == "empty-features":
+        (tmp_path / "features.csv").write_text("")
+        args[args.index("--features") + 1] = tmp_path / "features.csv"
+        expected = "no feature rows in"
     else:
         split = json.loads((toy_dir / "split.json").read_text())
         del split["val"]
@@ -334,6 +359,113 @@ def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
     assert proc.stderr.count("\n") == 1 and expected in proc.stderr, proc.stderr
     assert "test_acc" not in proc.stdout
     assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_basis_rejects_empty_input_files(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    proc = run_cli("basis", "--edges", empty, "--features", empty, "--mode", "homo",
+                   "--out-dir", tmp_path / "x")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: no feature rows in {empty}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "basis", "energy"])
+def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, command):
+    out = tmp_path / "out"
+    args = {
+        "train": toy_train_args(toy_dir, out),
+        "basis": ["basis", "--edges", toy_dir / "edges.txt",
+                  "--features", toy_dir / "features.csv", "--mode", "uni", "--out-dir", out],
+        "energy": ["energy", *toy_data_args(toy_dir), "--k-max", 2, "--out-dir", out],
+    }[command]
+    proc = run_cli(*args, "--hom-ratio", 1.5)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: hom-ratio must be in [0,1]\n"
+    assert not out.exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["train", "basis", "spectrum", "estimate-h", "ablate",
+                                     "energy", "synth"])
+def test_manifest_digests_exactly_the_input_files(toy_dir, toy_run, tmp_path, command):
+    edges, features, labels, split = (toy_dir / f for f in
+                                       ("edges.txt", "features.csv", "labels.txt", "split.json"))
+    checkpoint = toy_run / "checkpoint.json"
+    data = toy_data_args(toy_dir)
+    out = tmp_path / "out"
+    args, inputs = {
+        "train": (toy_train_args(toy_dir, out)[:-2], [edges, features, labels, split]),
+        "basis": (["basis", "--edges", edges, "--features", features, "--mode", "homo",
+                   "--hops", 2], [edges, features]),
+        "spectrum": (["spectrum", "--checkpoint", checkpoint, *data],
+                     [checkpoint, edges, features, labels]),
+        "estimate-h": (["estimate-h", "--edges", edges, "--labels", labels, "--split", split],
+                       [edges, labels, split]),
+        "ablate": (["ablate", *data, "--hops", 2, "--hidden", 4, "--max-epochs", 5,
+                    "--patience", 5, "--num-seeds", 1], [edges, features, labels]),
+        "energy": (["energy", *data, "--tau-grid", "0.5", "--k-max", 2],
+                   [edges, features, labels]),
+        "synth": (["synth", "--target", 0.5, "--tolerance", 0.5, "--feature-dim", 2,
+                   "--base-edges", edges, "--base-labels", labels], [edges, labels]),
+    }[command]
+    proc = run_cli(*args, "--out-dir", out)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
+
+
+# The config keys of checkpoints written before the config held every
+# TrainConfig field.
+OLDER_CHECKPOINT_KEYS = ("hops", "tau", "basis", "h_hat", "hidden", "layers", "dropout",
+                         "self_loops", "raw_homophily", "reortho", "seed")
+
+
+def run_spectrum(toy_dir, checkpoint, out):
+    return run_cli("spectrum", "--checkpoint", checkpoint, *toy_data_args(toy_dir),
+                   "--out-dir", out)
+
+
+def test_checkpoint_config_is_the_resolved_train_config(toy_run):
+    config = json.loads((toy_run / "checkpoint.json").read_text())["config"]
+    h_hat = json.loads((toy_run / "report.json").read_text())["h_hat"]
+    assert config == asdict(TrainConfig(hops=3, tau=0.5, lr=0.05, hidden=8, patience=50,
+                                        max_epochs=200, seed=1, h_hat=h_hat))
+
+
+@pytest.mark.parametrize("case", ["extra-key", "no-h_hat", "null-h_hat"])
+def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, tmp_path,
+                                                              case):
+    ckpt = json.loads((toy_run / "checkpoint.json").read_text())
+    if case == "extra-key":
+        ckpt["config"]["momentum"] = 0.9
+    elif case == "no-h_hat":
+        del ckpt["config"]["h_hat"]
+    else:
+        ckpt["config"]["h_hat"] = None
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(ckpt))
+    proc = run_spectrum(toy_dir, path, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_reads_a_checkpoint_with_the_older_keys(toy_dir, toy_run, tmp_path):
+    ckpt = json.loads((toy_run / "checkpoint.json").read_text())
+    assert set(OLDER_CHECKPOINT_KEYS) < set(ckpt["config"])
+    ckpt["config"] = {k: ckpt["config"][k] for k in OLDER_CHECKPOINT_KEYS}
+    (tmp_path / "older.json").write_text(json.dumps(ckpt))
+    assert run_spectrum(toy_dir, toy_run / "checkpoint.json", tmp_path / "full").returncode == 0
+    assert run_spectrum(toy_dir, tmp_path / "older.json", tmp_path / "older").returncode == 0
+    assert ((tmp_path / "older" / "spectrum.csv").read_bytes()
+            == (tmp_path / "full" / "spectrum.csv").read_bytes())
 
 
 def test_version_flag_reports_the_package_version():
@@ -342,6 +474,14 @@ def test_version_flag_reports_the_package_version():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == unifilter.__version__
+
+
+def test_pyproject_version_matches_the_package():
+    import unifilter
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == unifilter.__version__
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc thread listing")
