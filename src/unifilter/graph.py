@@ -17,6 +17,8 @@ import scipy.sparse as sp
 
 NO_SELF_LOOPS = "no-self-loops"
 SELF_LOOPS = "self-loops"
+# Neutral homophily estimate used when no training edge qualifies.
+FALLBACK_HOMOPHILY = 0.5
 
 
 @dataclass
@@ -63,10 +65,6 @@ class Graph:
         rows = np.repeat(np.arange(self.n), self.degrees)
         keep = rows < self.indices
         return np.stack([rows[keep], self.indices[keep]], axis=1)
-
-    def adjacency(self) -> sp.csr_matrix:
-        data = np.ones(self.indices.shape[0], dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -142,13 +140,11 @@ class PropagationOperator:
     """One-hop diffusion P = I - L (or I - L_hat when self-loops are added).
 
     Never materialized densely; `apply` runs a sparse matrix product, so a
-    single application costs O(m + n). The inverse square-root degree
-    vector is cached on the instance.
+    single application costs O(m + n).
     """
 
     kind: str
     graph: Graph
-    dinv_sqrt: np.ndarray
     _matrix: sp.csr_matrix = field(repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -179,7 +175,7 @@ def propagation_operator(g: Graph, kind: str = NO_SELF_LOOPS) -> PropagationOper
     mat = sp.csr_matrix((data, g.indices.copy(), g.indptr.copy()), shape=(g.n, g.n))
     if kind == SELF_LOOPS:
         mat = (mat + sp.diags(dinv * dinv)).tocsr()
-    return PropagationOperator(kind=kind, graph=g, dinv_sqrt=dinv, _matrix=mat)
+    return PropagationOperator(kind=kind, graph=g, _matrix=mat)
 
 
 def homophily_ratio(g: Graph, labels: np.ndarray) -> float:
@@ -199,6 +195,16 @@ def estimate_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) -> 
     This is the only restriction rule that touches no held-out labels.
     Falls back to 0.5 (neutral) with a warning when no edge qualifies.
     """
+    h = _train_edge_homophily(g, labels, train_mask)
+    if h is None:
+        warnings.warn("no edge has both endpoints in the training set; "
+                      "falling back to homophily estimate 0.5", stacklevel=2)
+        return FALLBACK_HOMOPHILY
+    return h
+
+
+def _train_edge_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) -> float | None:
+    """`estimate_homophily` without its fallback: None when no edge qualifies."""
     labels = np.asarray(labels)
     mask = _as_bool_mask(train_mask, g.n)
     if not mask.any():
@@ -207,12 +213,7 @@ def estimate_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) -> 
     keep = mask[e[:, 0]] & mask[e[:, 1]]
     total = int(np.count_nonzero(keep))
     if total == 0:
-        warnings.warn(
-            "no edge has both endpoints in the training set; "
-            "falling back to homophily estimate 0.5",
-            stacklevel=2,
-        )
-        return 0.5
+        return None
     same = int(np.count_nonzero(labels[e[keep, 0]] == labels[e[keep, 1]]))
     return same / total
 
@@ -243,6 +244,13 @@ class Split:
             raise ValueError("split index out of range")
         if np.unique(allidx).size != allidx.size:
             raise ValueError("split sets overlap")
+
+    def check_nonempty(self) -> None:
+        """Reject an empty train, val or test list, naming it. Training needs
+        all three; `validate` allows empty lists (estimate-h reads train only)."""
+        empty = [k for k in ("train", "val", "test") if np.size(getattr(self, k)) == 0]
+        if empty:
+            raise ValueError(f"split has an empty {', '.join(map(repr, empty))} list")
 
     def to_dict(self) -> dict:
         return {
@@ -288,11 +296,16 @@ class LabeledDataset:
             self.split.validate(n)
 
 
+def _loadtxt(path: str | Path, **kwargs) -> np.ndarray:
+    """np.loadtxt without its empty-input UserWarning; the callers reject empty input."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, **kwargs)
+
+
 def load_features(path: str | Path) -> np.ndarray:
     """CSV feature matrix, n rows x d columns, no header; not empty, every value finite."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-        X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    X = _loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     if X.shape[0] == 0:
         raise ValueError(f"no feature rows in {path}")
     bad = np.argwhere(~np.isfinite(X))
@@ -303,10 +316,13 @@ def load_features(path: str | Path) -> np.ndarray:
 
 
 def load_labels(path: str | Path) -> np.ndarray:
-    labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+    """One non-negative integer label per line; not empty."""
+    labels = _loadtxt(path, dtype=np.int64, ndmin=1)
+    if labels.size == 0:
+        raise ValueError(f"no labels in {path}")
     if labels.ndim != 1:
         raise ValueError("label file must hold one integer per line")
-    if labels.size and labels.min() < 0:
+    if labels.min() < 0:
         raise ValueError("labels must be non-negative")
     return labels
 
@@ -329,5 +345,5 @@ def load_dataset(
     X = load_features(feature_file)
     split = load_split(split_file) if split_file is not None else None
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 1
+        num_classes = int(labels.max()) + 1
     return LabeledDataset(graph=g, features=X, labels=labels, split=split, num_classes=num_classes)

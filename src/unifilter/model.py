@@ -8,8 +8,9 @@ gradients can be checked against central finite differences.
 
 from __future__ import annotations
 
+import itertools
 import json
-import warnings
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from .basis import (
     orthonormal_basis,
     unibasis,
 )
-from .graph import (NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset, estimate_homophily,
-                    propagation_operator)
+from .graph import (FALLBACK_HOMOPHILY, NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset,
+                    _train_edge_homophily, propagation_operator)
 from .rng import stream
 
 ADAM_BETA1 = 0.9
@@ -98,27 +99,53 @@ class TrainConfig:
             raise ValueError(f"unknown basis kind {self.basis!r}")
 
 
-@dataclass
 class FilterModel:
-    """Hop weight vector plus affine layers with ReLU between them."""
+    """Hop weight vector plus affine layers with ReLU between them.
 
-    w: np.ndarray
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    dropout: float
-    num_classes: int
+    Every parameter is a view into one float64 vector, `params`, laid out
+    as w, then each layer's weight matrix followed by its bias. Assigning
+    to `w` writes into that vector. The constructor copies the arrays it
+    is given into a new vector; `from_params` wraps an existing one.
+    """
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.w, *self.weights, *self.biases]
+    def __init__(self, w: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray],
+                 dropout: float, num_classes: int):
+        layers = [a for W, b in zip(weights, biases) for a in (W, b)]
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w, *layers)]
+        self._setup(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays],
+                    dropout, num_classes)
 
-    def copy(self) -> "FilterModel":
-        return FilterModel(
-            w=self.w.copy(),
-            weights=[W.copy() for W in self.weights],
-            biases=[b.copy() for b in self.biases],
-            dropout=self.dropout,
-            num_classes=self.num_classes,
-        )
+    @classmethod
+    def from_params(cls, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float,
+                    num_classes: int) -> "FilterModel":
+        """A model whose parameters are views into `params` itself, not a copy;
+        `shapes` lists the shape of w, then of each layer's W and b."""
+        model = cls.__new__(cls)
+        model._setup(params, shapes, dropout, num_classes)
+        return model
+
+    def _setup(self, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float,
+               num_classes: int) -> None:
+        self.params, self._shapes = params, list(shapes)
+        self._w, self.weights, self.biases = self.unflatten(params)
+        self.dropout = dropout
+        self.num_classes = num_classes
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._w
+
+    @w.setter
+    def w(self, value: np.ndarray) -> None:
+        self._w[...] = value
+
+    def unflatten(self, vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """Views of `vec`, laid out like `params`: w, weight matrices, biases."""
+        views, at = [], 0
+        for shape in self._shapes:
+            views.append(vec[at:at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        return views[0], views[1::2], views[2::2]
 
 
 def init_filter_model(
@@ -134,13 +161,16 @@ def init_filter_model(
     if layers < 1:
         raise ValueError("need at least one affine layer")
     dims = [in_dim] + [hidden] * (layers - 1) + [num_classes]
-    weights, biases = [], []
-    for din, dout in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(din)
-        weights.append(rng.uniform(-bound, bound, size=(din, dout)))
-        biases.append(np.zeros(dout))
-    w = np.full(hops + 1, 1.0 / (hops + 1))
-    return FilterModel(w=w, weights=weights, biases=biases, dropout=dropout, num_classes=num_classes)
+    shapes = [(hops + 1,)] + [s for din, dout in zip(dims[:-1], dims[1:])
+                              for s in ((din, dout), (dout,))]
+    # Allocated first and filled in place, as `_checkpoint_model` does.
+    model = FilterModel.from_params(np.zeros(sum(map(math.prod, shapes))), shapes, dropout,
+                                    num_classes)
+    model.w = 1.0 / (hops + 1)
+    for W in model.weights:
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+    return model
 
 
 def combine_hops(model: FilterModel, basis: BasisTensor) -> np.ndarray:
@@ -156,18 +186,13 @@ def combine_hops(model: FilterModel, basis: BasisTensor) -> np.ndarray:
     return np.tensordot(model.w, basis.matrices, axes=(0, 0))
 
 
-def _forward_pass(
-    model: FilterModel,
-    basis: BasisTensor,
-    training: bool,
-    rng: np.random.Generator | None,
-):
-    Z = combine_hops(model, basis)
+def _forward_pass(model: FilterModel, basis: BasisTensor, training: bool,
+                  rng: np.random.Generator | None):
+    """Logits plus what the backward pass reads: each layer's input, its
+    dropout mask (or None) and the pre-activations of the hidden layers."""
     nlayers = len(model.weights)
-    inputs: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
-    pre: list[np.ndarray] = []
-    act = Z
+    inputs, masks, pre = [], [], []
+    act = combine_hops(model, basis)
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         mask = None
         if training and model.dropout > 0.0 and i < nlayers - 1:
@@ -182,7 +207,7 @@ def _forward_pass(
         if i < nlayers - 1:
             pre.append(h)
             act = np.maximum(h, 0.0)
-    return h, {"Z": Z, "inputs": inputs, "masks": masks, "pre": pre}
+    return h, (inputs, masks, pre)
 
 
 def forward(
@@ -206,52 +231,47 @@ def _mask_indices(mask: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
-def loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean negative log-softmax of the true class over the masked nodes."""
-    idx = _mask_indices(mask, logits.shape[0])
-    sub = logits[idx]
-    sub = sub - sub.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(sub).sum(axis=1))
-    true = sub[np.arange(idx.size), np.asarray(labels)[idx]]
-    return float(np.mean(logz - true))
-
-
-def _loss_and_grads(
-    model: FilterModel,
-    basis: BasisTensor,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-):
-    logits, cache = _forward_pass(model, basis, training, rng)
-    idx = _mask_indices(mask, logits.shape[0])
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                   idx: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean negative log-softmax of the true class over rows `idx`, and its
+    gradient with respect to those rows' logits."""
     sub = logits[idx]
     sub = sub - sub.max(axis=1, keepdims=True)
     expv = np.exp(sub)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    y = np.asarray(labels)[idx]
-    lval = float(np.mean(np.log(expv.sum(axis=1)) - sub[np.arange(idx.size), y]))
+    total = expv.sum(axis=1, keepdims=True)
+    rows, y = np.arange(idx.size), np.asarray(labels)[idx]
+    value = float(np.mean(np.log(total[:, 0]) - sub[rows, y]))
+    delta = expv / total
+    delta[rows, y] -= 1.0
+    return value, delta / idx.size
 
+
+def loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+    """Mean negative log-softmax of the true class over the masked nodes."""
+    return _cross_entropy(logits, labels, _mask_indices(mask, logits.shape[0]))[0]
+
+
+def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray, idx: np.ndarray,
+                    training: bool = False,
+                    rng: np.random.Generator | None = None) -> tuple[float, np.ndarray]:
+    """Loss over node indices `idx` and its gradient, laid out like `model.params`."""
+    logits, (inputs, masks, pre) = _forward_pass(model, basis, training, rng)
+    value, delta = _cross_entropy(logits, labels, idx)
     gout = np.zeros_like(logits)
-    delta = probs.copy()
-    delta[np.arange(idx.size), y] -= 1.0
-    gout[idx] = delta / idx.size
+    gout[idx] = delta
 
-    gw_mats: list[np.ndarray] = [None] * len(model.weights)
-    gb: list[np.ndarray] = [None] * len(model.weights)
+    grad = np.empty_like(model.params)
+    gw, gW, gb = model.unflatten(grad)
     for i in range(len(model.weights) - 1, -1, -1):
-        gw_mats[i] = cache["inputs"][i].T @ gout
-        gb[i] = gout.sum(axis=0)
+        gW[i][...] = inputs[i].T @ gout
+        gb[i][...] = gout.sum(axis=0)
         gin = gout @ model.weights[i].T
-        if cache["masks"][i] is not None:
-            gin = gin * cache["masks"][i]
+        if masks[i] is not None:
+            gin = gin * masks[i]
         if i > 0:
-            gout = gin * (cache["pre"][i - 1] > 0.0)
-        else:
-            dz = gin
-    ghops = np.tensordot(basis.matrices, dz, axes=([1, 2], [0, 1]))
-    return lval, {"w": ghops, "weights": gw_mats, "biases": gb}
+            gout = gin * (pre[i - 1] > 0.0)
+    gw[...] = np.tensordot(basis.matrices, gin, axes=([1, 2], [0, 1]))
+    return value, grad
 
 
 def evaluate(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -262,56 +282,49 @@ def evaluate(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: n
     return float(np.mean(pred == np.asarray(labels)[idx]))
 
 
-def gradient_check(
-    model: FilterModel,
-    basis: BasisTensor,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    step: float = 1e-5,
-) -> float:
+def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: np.ndarray,
+                   step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error uses |a - n| / max(|a| + |n|, 1e-6). Dropout is
     disabled; weight decay is an optimizer concern and excluded here.
     """
-    _, grads = _loss_and_grads(model, basis, labels, mask, training=False)
-    analytic = [grads["w"], *grads["weights"], *grads["biases"]]
+    idx = _mask_indices(mask, basis.matrices.shape[1])
+    _, analytic = _loss_and_grads(model, basis, labels, idx)
+    theta = model.params
     worst = 0.0
-    for arr, g in zip(model.parameters(), analytic):
-        flat = arr.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss(forward(model, basis), labels, mask)
-            flat[i] = orig - step
-            down = loss(forward(model, basis), labels, mask)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            rel = abs(gflat[i] - numeric) / max(abs(gflat[i]) + abs(numeric), 1e-6)
-            worst = max(worst, rel)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        up = loss(forward(model, basis), labels, idx)
+        theta[i] = orig - step
+        down = loss(forward(model, basis), labels, idx)
+        theta[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-6))
     return worst
 
 
 class _Adam:
-    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float):
+    """Adam with L2 weight decay, elementwise over one parameter vector."""
+
+    def __init__(self, size: int, lr: float, weight_decay: float):
         self.lr = lr
         self.wd = weight_decay
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            g = g + self.wd * p
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        g = grad + self.wd * params
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -377,17 +390,16 @@ def train(
     if dataset.split is None:
         raise ValueError("dataset has no split")
     split = dataset.split
+    split.check_nonempty()
     labels = dataset.labels
+    tidx, vidx = (_mask_indices(m, dataset.graph.n) for m in (split.train, split.val))
 
-    fallback = False
-    if cfg.h_hat is not None:
-        h_hat = cfg.h_hat
-    else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            h_hat = estimate_homophily(dataset.graph, labels, split.train)
-        fallback = any("falling back" in str(w.message) for w in caught)
-
+    h_hat = cfg.h_hat
+    if h_hat is None:
+        h_hat = _train_edge_homophily(dataset.graph, labels, split.train)
+    fallback = h_hat is None
+    if fallback:
+        h_hat = FALLBACK_HOMOPHILY
     if basis is None:
         basis = build_basis(dataset.graph, dataset.features, replace(cfg, h_hat=h_hat))
 
@@ -397,41 +409,42 @@ def train(
         cfg.hops, basis.columns, cfg.hidden, cfg.layers,
         dataset.num_classes, cfg.dropout, rng_init,
     )
-    params = model.parameters()
-    opt = _Adam(params, cfg.lr, cfg.weight_decay)
+    opt = _Adam(model.params.size, cfg.lr, cfg.weight_decay)
 
     best_acc, best_loss, best_epoch = -1.0, np.inf, -1
-    best_params = [p.copy() for p in params]
+    best_params = model.params.copy()
     curve: list[tuple[int, float, float]] = []
     since_best = 0
     epoch = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        train_loss, grads = _loss_and_grads(
-            model, basis, labels, split.train, training=True, rng=rng_drop
-        )
-        opt.step(params, [grads["w"], *grads["weights"], *grads["biases"]])
+    # A non-finite training loss is raised naming its epoch; numpy's overflow
+    # warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            train_loss, grad = _loss_and_grads(model, basis, labels, tidx,
+                                               training=True, rng=rng_drop)
+            if not np.isfinite(train_loss):
+                raise RuntimeError(f"training loss is not finite at epoch {epoch}")
+            opt.step(model.params, grad)
 
-        val_logits = forward(model, basis)
-        vidx = _mask_indices(split.val, val_logits.shape[0])
-        val_acc = float(np.mean(np.argmax(val_logits[vidx], axis=1) == labels[vidx]))
-        val_loss = loss(val_logits, labels, split.val)
-        curve.append((epoch, train_loss, val_acc))
+            val_logits = forward(model, basis)
+            val_acc = float(np.mean(np.argmax(val_logits[vidx], axis=1) == labels[vidx]))
+            val_loss = _cross_entropy(val_logits, labels, vidx)[0]
+            curve.append((epoch, train_loss, val_acc))
 
-        improved_acc = val_acc > best_acc
-        if improved_acc or (val_acc == best_acc and val_loss < best_loss):
-            best_acc, best_loss, best_epoch = val_acc, val_loss, epoch
-            best_params = [p.copy() for p in params]
-        # Patience counts epochs without an accuracy improvement; the loss
-        # tie-break only selects which checkpoint to keep.
-        if improved_acc:
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+            improved_acc = val_acc > best_acc
+            if improved_acc or (val_acc == best_acc and val_loss < best_loss):
+                best_acc, best_loss, best_epoch = val_acc, val_loss, epoch
+                np.copyto(best_params, model.params)
+            # Patience counts epochs without an accuracy improvement; the loss
+            # tie-break only selects which checkpoint to keep.
+            if improved_acc:
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
 
-    for p, bp in zip(params, best_params):
-        p[...] = bp
+    np.copyto(model.params, best_params)
     test_acc = evaluate(model, basis, labels, split.test)
     report = TrainReport(
         best_val_acc=best_acc,
@@ -467,21 +480,43 @@ def save_checkpoint(model: FilterModel, config: dict, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[FilterModel, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    weights, biases = [], []
-    for layer in payload["layers"]:
-        W = np.asarray(layer["weights"], dtype=np.float64).reshape(layer["rows"], layer["cols"])
-        weights.append(W)
-        biases.append(np.asarray(layer["bias"], dtype=np.float64))
-    cfg = payload.get("config", {})
-    model = FilterModel(
-        w=np.asarray(payload["w"], dtype=np.float64),
-        weights=weights,
-        biases=biases,
-        dropout=float(cfg.get("dropout", 0.0)),
-        num_classes=weights[-1].shape[1],
-    )
-    return model, cfg
+    """Model and config from a checkpoint; a bad payload raises ValueError naming `path`."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return _checkpoint_model(json.loads(text))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
+    if not isinstance(payload, dict) or not {"w", "layers"} <= payload.keys():
+        raise ValueError("checkpoint must hold 'w' and 'layers'")
+    cfg, layers, w = payload.get("config", {}), payload["layers"], payload["w"]
+    if not (isinstance(cfg, dict) and isinstance(w, list) and isinstance(layers, list) and layers):
+        raise ValueError("checkpoint 'config' must be an object, 'w' a list and 'layers' "
+                         "a non-empty list")
+    values, shapes = [w], [(len(w),)]
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, dict) or not {"rows", "cols", "weights", "bias"} <= layer.keys():
+            raise ValueError(f"layer {i} must hold 'rows', 'cols', 'weights' and 'bias'")
+        rows, cols = layer["rows"], layer["cols"]
+        if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
+            raise ValueError(f"layer {i} 'rows' and 'cols' must be positive integers")
+        if i and rows != shapes[-1][0]:
+            raise ValueError(f"layer {i} has {rows} rows but layer {i - 1} has "
+                             f"{shapes[-1][0]} cols")
+        for key, shape in (("weights", (rows, cols)), ("bias", (cols,))):
+            if not isinstance(layer[key], list) or len(layer[key]) != math.prod(shape):
+                raise ValueError(f"layer {i} {key!r} must be a list of {math.prod(shape)} numbers")
+            values.append(layer[key])
+            shapes.append(shape)
+    # One vector, filled straight from the JSON lists. Per-layer arrays copied
+    # into a new vector and then freed left peak RSS one model's size higher.
+    params = np.fromiter(itertools.chain.from_iterable(values), np.float64,
+                         sum(map(len, values)))
+    if not np.isfinite(params).all():
+        raise ValueError("checkpoint holds a non-finite value")
+    return FilterModel.from_params(params, shapes, float(cfg.get("dropout", 0.0)), cols), cfg
 
 
 def random_search(

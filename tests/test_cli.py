@@ -330,7 +330,7 @@ def test_manifest_written_once_with_digests(toy_dir, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["hidden", "max-epochs", "nan-feature", "empty-features",
-                                  "split-without-val"])
+                                  "split-without-val", "empty-val", "nonfinite-loss"])
 def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
     # The output directory exists, so a manifest written on failure would show.
     (tmp_path / "out").mkdir()
@@ -348,12 +348,19 @@ def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
         (tmp_path / "features.csv").write_text("")
         args[args.index("--features") + 1] = tmp_path / "features.csv"
         expected = "no feature rows in"
+    elif case == "nonfinite-loss":
+        args[args.index("--lr") + 1] = 1e300
+        expected = "training loss is not finite at epoch 2"
     else:
         split = json.loads((toy_dir / "split.json").read_text())
-        del split["val"]
+        if case == "empty-val":
+            split["val"] = []
+            expected = "split has an empty 'val' list"
+        else:
+            del split["val"]
+            expected = "missing 'val'"
         (tmp_path / "split.json").write_text(json.dumps(split))
         args[args.index("--split") + 1] = tmp_path / "split.json"
-        expected = "missing 'val'"
     proc = run_cli(*args)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.count("\n") == 1 and expected in proc.stderr, proc.stderr
@@ -370,6 +377,15 @@ def test_basis_rejects_empty_input_files(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == f"error: no feature rows in {empty}\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_estimate_h_rejects_an_empty_labels_file(toy_dir, tmp_path):
+    empty = tmp_path / "labels.txt"
+    empty.write_text("")
+    proc = run_cli("estimate-h", "--edges", toy_dir / "edges.txt", "--labels", empty,
+                   "--split", toy_dir / "split.json")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: no labels in {empty}\n"
 
 
 @pytest.mark.parametrize("command", ["train", "basis", "energy"])
@@ -454,6 +470,38 @@ def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, 
     proc = run_spectrum(toy_dir, path, tmp_path / "out")
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["no-layers", "no-w", "short-weights", "broken-chain",
+                                  "non-finite", "not-json"])
+def test_spectrum_rejects_a_bad_checkpoint_payload_in_one_line(toy_dir, toy_run, tmp_path,
+                                                               case):
+    ckpt = json.loads((toy_run / "checkpoint.json").read_text())
+    first, second = ckpt["layers"]
+    if case in ("no-layers", "no-w"):
+        del ckpt[case[3:]]
+        expected = "checkpoint must hold 'w' and 'layers'"
+    elif case == "short-weights":
+        second["weights"].pop()
+        expected = "layer 1 'weights' must be a list of"
+    elif case == "broken-chain":
+        # Layer 0 stays consistent on its own; only the chaining breaks.
+        first["cols"] = first["cols"] - 1
+        first["weights"] = first["weights"][:first["rows"] * first["cols"]]
+        first["bias"].pop()
+        expected = "layer 1 has"
+    elif case == "non-finite":
+        second["bias"][0] = float("nan")
+        expected = "checkpoint holds a non-finite value"
+    else:
+        expected = "Expecting value"
+    path = tmp_path / "checkpoint.json"
+    path.write_text("not json" if case == "not-json" else json.dumps(ckpt))
+    proc = run_spectrum(toy_dir, path, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: ") and expected in proc.stderr, proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -189,7 +189,7 @@ def test_gradient_of_hop_weights_at_zero():
         model.w[k] = -eps
         down = loss(forward(model, basis), labels, mask)
         model.w[k] = 0.0
-        assert grads["w"][k] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
+        assert model.unflatten(grads)[0][k] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
 
 
 def test_gradients_deterministic_without_dropout():
@@ -199,8 +199,8 @@ def test_gradients_deterministic_without_dropout():
     l1, g1 = _loss_and_grads(model, basis, labels, np.arange(20))
     l2, g2 = _loss_and_grads(model, basis, labels, np.arange(20))
     assert l1 == l2
-    assert np.array_equal(g1["w"], g2["w"])
-    for a, b in zip(g1["weights"], g2["weights"]):
+    assert np.array_equal(model.unflatten(g1)[0], model.unflatten(g2)[0])
+    for a, b in zip(model.unflatten(g1)[1], model.unflatten(g2)[1]):
         assert np.array_equal(a, b)
 
 
