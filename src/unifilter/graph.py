@@ -40,22 +40,18 @@ class Graph:
     def from_edges(cls, edges: np.ndarray, n: int) -> "Graph":
         """Build from an array of distinct undirected pairs with u < v."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        m = edges.shape[0]
-        if m:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(edges[:, 0] >= edges[:, 1]):
-                raise ValueError("edges must satisfy u < v (no self-loops)")
-            keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-            if np.unique(keys).size != m:
-                raise ValueError("duplicate edges")
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        if np.any(edges[:, 0] >= edges[:, 1]):
+            raise ValueError("edges must satisfy u < v (no self-loops)")
+        # Sorted row*n + col keys of both directions: the CSR entries in row-major order.
+        keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]))
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edges")
+        rows, cols = np.divmod(keys, n)
         degrees = np.bincount(rows, minlength=n).astype(np.int64)
         indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-        return cls(n=int(n), m=int(m), indptr=indptr, indices=cols, degrees=degrees)
+        return cls(n=int(n), m=len(edges), indptr=indptr, indices=cols, degrees=degrees)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -103,11 +99,29 @@ def load_graph(path: str | Path, n: int) -> Graph:
 
     Lines starting with '#' and blank lines are ignored. Self-loop lines
     are dropped (counted in a warning); duplicate and reversed pairs
-    collapse to one undirected edge.
+    collapse to one undirected edge. A plain file of pairs in [0, n) is
+    parsed as one array, any other line by line to name its first bad line.
     """
     path = Path(path)
-    edges: set[tuple[int, int]] = set()
-    dropped = 0
+    with open(path, encoding="utf-8") as fh:
+        try:
+            pairs = _loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:  # a comment, a bad token, or bytes that are not UTF-8
+            pairs = None
+    if pairs is None or pairs.shape[1] != 2 or pairs.min(initial=0) < 0 or pairs.max(initial=0) >= n:
+        pairs = _parse_lines(path, n)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    loops = lo == hi
+    if loops.any():
+        warnings.warn(f"{path}: dropped {np.count_nonzero(loops)} self-loop line(s)", stacklevel=2)
+    keys = np.sort(lo[~loops] * n + hi[~loops])
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # one of each run of equal keys
+    return Graph.from_edges(np.stack(np.divmod(keys, n), axis=1), n)
+
+
+def _parse_lines(path: Path, n: int) -> np.ndarray:
+    """Every (u, v) line as an (L, 2) array; raises naming the first bad line."""
+    pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -125,14 +139,8 @@ def load_graph(path: str | Path, n: int) -> Graph:
                     raise ValueError(f"negative node index {idx} at line {lineno}")
                 if idx >= n:
                     raise ValueError(f"node index {idx} >= n={n} at line {lineno}")
-            if u == v:
-                dropped += 1
-                continue
-            edges.add((u, v) if u < v else (v, u))
-    if dropped:
-        warnings.warn(f"{path}: dropped {dropped} self-loop line(s)", stacklevel=2)
-    arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return Graph.from_edges(arr, n)
+            pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass
@@ -239,10 +247,10 @@ class Split:
 
     def validate(self, n: int) -> None:
         parts = [np.asarray(p, dtype=np.int64) for p in (self.train, self.val, self.test)]
-        allidx = np.concatenate(parts) if parts else np.empty(0, np.int64)
+        allidx = np.concatenate(parts)
         if allidx.size and (allidx.min() < 0 or allidx.max() >= n):
             raise ValueError("split index out of range")
-        if np.unique(allidx).size != allidx.size:
+        if np.any(np.diff(np.sort(allidx)) == 0):
             raise ValueError("split sets overlap")
 
     def check_nonempty(self) -> None:

@@ -152,3 +152,47 @@ def test_split_validation():
     bad = Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([3]))
     with pytest.raises(ValueError, match="overlap"):
         bad.validate(4)
+
+
+# Each bad line follows a comment, an indented comment and blank lines, so
+# its number counts the lines that carry no edge.
+PREAMBLE = "# header\n\n  # indented\n0 1\n\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0 1 2", "expected 'u v' at line 6 of {path}"),
+    ("0 1 # x", "expected 'u v' at line 6 of {path}"),
+    ("0", "expected 'u v' at line 6 of {path}"),
+    ("0 1.5", "non-integer node id at line 6 of {path}"),
+    ("0 1#x", "non-integer node id at line 6 of {path}"),
+    ("-3 1", "negative node index -3 at line 6"),
+    ("1 -2", "negative node index -2 at line 6"),
+    ("0 9", "node index 9 >= n=4 at line 6"),
+    ("9 -1", "node index 9 >= n=4 at line 6"),
+])
+def test_load_graph_error_messages(tmp_path, bad, message):
+    f = tmp_path / "edges.txt"
+    f.write_text(PREAMBLE + bad + "\n2 3\n")
+    with pytest.raises(ValueError) as exc:
+        load_graph(f, 4)
+    assert str(exc.value) == message.format(path=f)
+
+
+def test_load_graph_rejects_bytes_that_are_not_utf8(tmp_path):
+    f = tmp_path / "edges.txt"
+    data = PREAMBLE.encode() + b"0 \xff\n"
+    f.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_graph(f, 4)
+    assert str(exc.value) == (f"'utf-8' codec can't decode byte 0xff in position {len(data) - 2}: "
+                              "invalid start byte")
+
+
+def test_load_graph_self_loop_warning_names_the_caller(tmp_path):
+    f = tmp_path / "edges.txt"
+    f.write_text(PREAMBLE + "2 2\n1 2\n3 3\n")
+    with pytest.warns(UserWarning) as record:
+        g = load_graph(f, 4)
+    assert [str(w.message) for w in record] == [f"{f}: dropped 2 self-loop line(s)"]
+    assert record[0].filename == __file__
+    assert g.m == 2
