@@ -188,7 +188,7 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
 
 
 def _build(op: PropagationOperator, X: np.ndarray, hops: int, mix,
-           **recurrences) -> tuple[np.ndarray, _Health]:
+           recurrences: dict) -> tuple[np.ndarray, _Health]:
     """Walk X and write mix(h, v, u) of every hop into one (K+1, n, d) buffer."""
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -198,6 +198,41 @@ def _build(op: PropagationOperator, X: np.ndarray, hops: int, mix,
     for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
         out[k, :, cols] = mix(h, v, u)
     return out, health
+
+
+def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
+            reortho: bool = False, normalize: bool = True) -> tuple:
+    """What a basis of `kind` keeps of each hop, mix(h, v, u), and the `_walk`
+    options that produce those parts. Construction and `walk_spectrum` share it."""
+    if kind == HOMOPHILY:
+        return (lambda h, v, u: h), dict(diffuse=True, normalize=normalize)
+    if kind == ORTHONORMAL:
+        return (lambda h, v, u: v), dict(krylov=True, reortho=reortho)
+    if kind == HETEROPHILY:
+        return (lambda h, v, u: u), dict(reortho=reortho, h_hat=h_hat)
+    if kind != UNI:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
+
+    def mix(h, v, u):
+        return h if tau == 1.0 else u if tau == 0.0 else tau * h + (1.0 - tau) * u
+
+    return mix, dict(diffuse=tau > 0.0, normalize=normalize, reortho=reortho,
+                     h_hat=None if tau == 1.0 else h_hat)
+
+
+def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
+               h_hat: float | None = None, tau: float | None = None, reortho: bool = False,
+               normalize: bool = True) -> BasisTensor:
+    """The basis of `kind` from its constructor, named by `_recipe`'s keywords."""
+    if kind == UNI:
+        return unibasis(op, X, hops, h_hat, tau, reortho=reortho, normalize_homophily=normalize)
+    if kind == HOMOPHILY:
+        return homophily_basis(op, X, hops, normalize=normalize)
+    if kind == HETEROPHILY:
+        return heterophily_basis(op, X, hops, h_hat, reortho=reortho)
+    return orthonormal_basis(op, X, hops, reortho=reortho)
 
 
 def homophily_basis(
@@ -212,7 +247,7 @@ def homophily_basis(
     blending mixes unit-scale parts; `normalize=False` keeps the raw
     powers. K successive sparse applications, O(K (m+n) d) total.
     """
-    out, health = _build(op, X, hops, lambda h, v, u: h, diffuse=True, normalize=normalize)
+    out, health = _build(op, X, hops, *_recipe(HOMOPHILY, normalize=normalize))
     return BasisTensor(kind=HOMOPHILY, hops=hops, matrices=out,
                        degenerate_columns=frozenset(health.degenerate))
 
@@ -232,7 +267,7 @@ def orthonormal_basis(
     machine precision. Exhausted columns emit zero vectors from the hop
     where the residual vanished and are flagged degenerate.
     """
-    out, health = _build(op, X, hops, lambda h, v, u: v, krylov=True, reortho=reortho)
+    out, health = _build(op, X, hops, *_recipe(ORTHONORMAL, reortho=reortho))
     return BasisTensor(kind=ORTHONORMAL, hops=hops, matrices=out,
                        degenerate_columns=frozenset(health.degenerate))
 
@@ -265,7 +300,7 @@ def heterophily_basis(
     columns freeze at their last valid vector; zero input columns emit
     zeros throughout.
     """
-    out, health = _build(op, X, hops, lambda h, v, u: u, reortho=reortho, h_hat=h_hat)
+    out, health = _build(op, X, hops, *_recipe(HETEROPHILY, reortho=reortho, h_hat=h_hat))
     return BasisTensor(kind=HETEROPHILY, hops=hops, matrices=out,
                        theta=0.5 * np.pi * (1.0 - h_hat),
                        degenerate_columns=frozenset(health.degenerate),
@@ -288,36 +323,78 @@ def unibasis(
     heterophily construction entirely; tau=0 likewise returns the
     heterophily basis unchanged.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-
-    def mix(h, v, u):
-        return h if tau == 1.0 else u if tau == 0.0 else tau * h + (1.0 - tau) * u
-
-    out, health = _build(op, X, hops, mix, diffuse=tau > 0.0, normalize=normalize_homophily,
-                         reortho=reortho, h_hat=None if tau == 1.0 else h_hat)
+    out, health = _build(op, X, hops, *_recipe(UNI, h_hat=h_hat, tau=tau, reortho=reortho,
+                                              normalize=normalize_homophily))
     return BasisTensor(kind=UNI, hops=hops, matrices=out, theta=0.5 * np.pi * (1.0 - h_hat),
                        tau=tau, degenerate_columns=frozenset(health.degenerate),
                        clamp_events=health.clamps)
+
+
+def _usable(d: int, degenerate) -> np.ndarray:
+    """Mask of the d columns that are not in `degenerate`."""
+    keep = np.ones(d, dtype=bool)
+    keep[list(degenerate)] = False
+    return keep
+
+
+def _block_frequencies(op: PropagationOperator, M: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Frequency of each column of the hop block M that `keep` marks, NaN elsewhere.
+
+    A column's bits do not depend on the columns beside it. numpy sums each
+    column of a wide product row by row but a 1-wide one pairwise, so a lone
+    kept column is reduced as one of two copies of itself.
+    """
+    out = np.full(M.shape[1], np.nan)
+    cols = np.flatnonzero(keep)
+    if cols.size:
+        out[cols] = matrix_frequencies(op, M[:, np.resize(cols, max(2, cols.size))])[:cols.size]
+    return out
+
+
+def _mean_frequencies(freqs: np.ndarray, keep: np.ndarray) -> list[float]:
+    """Per-hop mean of a (K+1, d) frequency array over the usable columns `keep`."""
+    if not keep.any():
+        raise ValueError("all basis columns are degenerate")
+    out: list[float] = []
+    for k, row in enumerate(freqs[:, keep]):
+        valid = ~np.isnan(row)
+        if not valid.any():
+            raise ValueError(f"no usable column at hop {k}")
+        out.append(float(row[valid].mean()))
+    return out
 
 
 def basis_spectrum(g: Graph, b: BasisTensor) -> list[float]:
     """Mean per-hop signal frequency over usable (non-degenerate, nonzero) columns."""
     if b.n != g.n:
         raise ValueError("basis was not constructed on this graph")
-    keep = np.ones(b.columns, dtype=bool)
-    keep[list(b.degenerate_columns)] = False
-    if not keep.any():
-        raise ValueError("all basis columns are degenerate")
+    keep = _usable(b.columns, b.degenerate_columns)
     op = propagation_operator(g)
-    out: list[float] = []
-    for k in range(b.hops + 1):
-        freqs = matrix_frequencies(op, b.matrices[k][:, keep])
-        valid = ~np.isnan(freqs)
-        if not valid.any():
-            raise ValueError(f"no usable column at hop {k}")
-        out.append(float(freqs[valid].mean()))
-    return out
+    freqs = np.array([_block_frequencies(op, M, keep) for M in b.matrices])
+    return _mean_frequencies(freqs, keep)
+
+
+def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
+                  **recipe) -> list[float]:
+    """`basis_spectrum` of `make_basis(op, X, hops, kind, **recipe)`, bit for bit,
+    without building that basis.
+
+    Each hop block is reduced to per-column frequencies as the walk yields
+    it, so memory holds a (K+1, d) array and a few blocks whatever K is. A
+    column's frequencies are all computed until it degenerates, and the
+    columns that did are left out of the means at the end.
+    """
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    mix, recurrences = _recipe(kind, **recipe)
+    X = _as_columns(X)
+    freq_op = propagation_operator(op.graph)
+    freqs = np.empty((hops + 1, X.shape[1]))
+    health = _Health()
+    for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
+        keep = _usable(X.shape[1], health.degenerate)[cols]
+        freqs[k, cols] = _block_frequencies(freq_op, mix(h, v, u), keep)
+    return _mean_frequencies(freqs, _usable(X.shape[1], health.degenerate))
 
 
 def pairwise_hop_gram(b: BasisTensor) -> np.ndarray:
@@ -331,8 +408,7 @@ def angle_law_deviation(b: BasisTensor) -> tuple[float, float]:
     (cos theta, 1), over non-degenerate columns."""
     if b.theta is None:
         raise ValueError("basis carries no angle")
-    keep = np.ones(b.columns, dtype=bool)
-    keep[list(b.degenerate_columns)] = False
+    keep = _usable(b.columns, b.degenerate_columns)
     if not keep.any():
         raise ValueError("all columns degenerate")
     gram = pairwise_hop_gram(b)[:, :, keep]
@@ -345,8 +421,7 @@ def angle_law_deviation(b: BasisTensor) -> tuple[float, float]:
 
 def orthonormality_deviation(b: BasisTensor) -> float:
     """Max deviation of hop-vector Gram matrices from identity, per column."""
-    keep = np.ones(b.columns, dtype=bool)
-    keep[list(b.degenerate_columns)] = False
+    keep = _usable(b.columns, b.degenerate_columns)
     if not keep.any():
         raise ValueError("all columns degenerate")
     gram = pairwise_hop_gram(b)[:, :, keep]

@@ -146,8 +146,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    from .basis import basis_spectrum
-    from .model import TrainConfig, build_basis, load_checkpoint
+    from .model import TrainConfig, load_checkpoint, spectrum
     from .spectral import SpectrumReport
 
     model, ckcfg = load_checkpoint(args.checkpoint)
@@ -162,11 +161,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if model.w.shape[0] != cfg.hops + 1:
         raise UsageError("checkpoint weight vector does not match its hop count")
     ds = _load_dataset_args(args)
-    basis = build_basis(ds.graph, ds.features, cfg)
-    freqs = basis_spectrum(ds.graph, basis)
+    freqs = spectrum(ds.graph, ds.features, cfg)
     report = SpectrumReport(
         entries=[(k, freqs[k], float(model.w[k])) for k in range(cfg.hops + 1)],
-        kind=basis.kind, dataset=args.dataset_name,
+        kind=cfg.basis, dataset=args.dataset_name,
     )
     report.write_csv(_outdir(args) / "spectrum.csv")
     print(f"rows={cfg.hops + 1}")

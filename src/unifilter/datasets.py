@@ -130,9 +130,12 @@ def binary_tree_dataset(spec: TreeSpec) -> LabeledDataset:
 
 
 def _partition(n: int, f_train: float, f_val: float, seed: int, index: int) -> Split:
+    """Floor-sized train and val lists, the rest to test. Each list gets at
+    least one node, as every caller has n >= 3: a depth-2 tree's 60/20/20
+    floors would give val none."""
     perm = stream(substream_seed(seed, "split", index), "perm").permutation(n)
-    ntr = int(np.floor(f_train * n))
-    nva = int(np.floor(f_val * n))
+    ntr = max(1, int(np.floor(f_train * n)))
+    nva = max(1, int(np.floor(f_val * n)))
     return Split(
         train=np.sort(perm[:ntr]),
         val=np.sort(perm[ntr:ntr + nva]),

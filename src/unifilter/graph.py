@@ -99,15 +99,12 @@ def load_graph(path: str | Path, n: int) -> Graph:
 
     Lines starting with '#' and blank lines are ignored. Self-loop lines
     are dropped (counted in a warning); duplicate and reversed pairs
-    collapse to one undirected edge. A plain file of pairs in [0, n) is
-    parsed as one array, any other line by line to name its first bad line.
+    collapse to one undirected edge. A file of pairs in [0, n), with or
+    without '#' lines, is parsed as one array, any other line by line to
+    name its first bad line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            pairs = _loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:  # a comment, a bad token, or bytes that are not UTF-8
-            pairs = None
+    pairs = _parse_array(path)
     if pairs is None or pairs.shape[1] != 2 or pairs.min(initial=0) < 0 or pairs.max(initial=0) >= n:
         pairs = _parse_lines(path, n)
     lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
@@ -117,6 +114,22 @@ def load_graph(path: str | Path, n: int) -> Graph:
     keys = np.sort(lo[~loops] * n + hi[~loops])
     keys = keys[np.diff(keys, prepend=-1) != 0]  # one of each run of equal keys
     return Graph.from_edges(np.stack(np.divmod(keys, n), axis=1), n)
+
+
+def _parse_array(path: Path) -> np.ndarray | None:
+    """The file as one integer array, or None. A plain file takes one parse; a
+    file it fails on is parsed once more without its whole-line comments."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                return _loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+            except ValueError:  # a comment, a bad token, or bytes that are not UTF-8
+                fh.seek(0)
+                lines = [line for line in fh if not line.strip().startswith("#")]
+        # A '#' after data stays a bad token here, as in the line loop.
+        return _loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _parse_lines(path: Path, n: int) -> np.ndarray:

@@ -16,19 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import (
-    HETEROPHILY,
-    HOMOPHILY,
-    ORTHONORMAL,
-    UNI,
-    BasisTensor,
-    heterophily_basis,
-    homophily_basis,
-    orthonormal_basis,
-    unibasis,
-)
+from .basis import HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, make_basis, walk_spectrum
 from .graph import (FALLBACK_HOMOPHILY, NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset,
-                    _train_edge_homophily, propagation_operator)
+                    PropagationOperator, _train_edge_homophily, propagation_operator)
 from .rng import stream
 
 ADAM_BETA1 = 0.9
@@ -186,13 +176,14 @@ def combine_hops(model: FilterModel, basis: BasisTensor) -> np.ndarray:
     return np.tensordot(model.w, basis.matrices, axes=(0, 0))
 
 
-def _forward_pass(model: FilterModel, basis: BasisTensor, training: bool,
+def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
                   rng: np.random.Generator | None):
-    """Logits plus what the backward pass reads: each layer's input, its
-    dropout mask (or None) and the pre-activations of the hidden layers."""
+    """Logits from the combined hops `z`, plus what the backward pass reads: each
+    layer's input, its dropout mask (or None) and the pre-activations of the
+    hidden layers."""
     nlayers = len(model.weights)
     inputs, masks, pre = [], [], []
-    act = combine_hops(model, basis)
+    act = z
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         mask = None
         if training and model.dropout > 0.0 and i < nlayers - 1:
@@ -217,7 +208,7 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Logits for every node; softmax lives inside the loss only."""
-    logits, _ = _forward_pass(model, basis, training, rng)
+    logits, _ = _forward_pass(model, combine_hops(model, basis), training, rng)
     return logits
 
 
@@ -255,7 +246,14 @@ def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray, 
                     training: bool = False,
                     rng: np.random.Generator | None = None) -> tuple[float, np.ndarray]:
     """Loss over node indices `idx` and its gradient, laid out like `model.params`."""
-    logits, (inputs, masks, pre) = _forward_pass(model, basis, training, rng)
+    return _backward(model, basis, labels, idx,
+                     *_forward_pass(model, combine_hops(model, basis), training, rng))
+
+
+def _backward(model: FilterModel, basis: BasisTensor, labels: np.ndarray, idx: np.ndarray,
+              logits: np.ndarray, cache) -> tuple[float, np.ndarray]:
+    """`_loss_and_grads` from a forward pass already made: its logits and cache."""
+    inputs, masks, pre = cache
     value, delta = _cross_entropy(logits, labels, idx)
     gout = np.zeros_like(logits)
     gout[idx] = delta
@@ -359,19 +357,25 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _basis_args(graph: Graph, cfg: TrainConfig) -> tuple[PropagationOperator, dict]:
+    """The operator and the `make_basis` arguments of the basis `cfg` names
+    over `graph`, at `cfg.h_hat`; `build_basis` and `spectrum` share them."""
+    op = propagation_operator(graph, SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS)
+    return op, dict(hops=cfg.hops, kind=cfg.basis, h_hat=cfg.h_hat, tau=cfg.tau,
+                    reortho=cfg.reortho, normalize=not cfg.raw_homophily)
+
+
 def build_basis(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> BasisTensor:
     """The basis `cfg` names over `graph` and features `X`, at `cfg.h_hat`."""
-    op = propagation_operator(graph, SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS)
-    if cfg.basis == UNI:
-        return unibasis(
-            op, X, cfg.hops, cfg.h_hat, cfg.tau,
-            reortho=cfg.reortho, normalize_homophily=not cfg.raw_homophily,
-        )
-    if cfg.basis == HOMOPHILY:
-        return homophily_basis(op, X, cfg.hops, normalize=not cfg.raw_homophily)
-    if cfg.basis == HETEROPHILY:
-        return heterophily_basis(op, X, cfg.hops, cfg.h_hat, reortho=cfg.reortho)
-    return orthonormal_basis(op, X, cfg.hops, reortho=cfg.reortho)
+    op, args = _basis_args(graph, cfg)
+    return make_basis(op, X, **args)
+
+
+def spectrum(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> list[float]:
+    """`basis_spectrum(graph, build_basis(graph, X, cfg))`, bit for bit, streamed
+    hop block by hop block: memory does not grow with the hop count."""
+    op, args = _basis_args(graph, cfg)
+    return walk_spectrum(op, X, **args)
 
 
 def train(
@@ -419,14 +423,24 @@ def train(
     # A non-finite training loss is raised naming its epoch; numpy's overflow
     # warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
+        # One pass over the basis per epoch: the validation pass after each step
+        # runs at the next epoch's parameters. Without dropout it is that epoch's
+        # training pass; dropout draws new masks, so then only z is shared. Each
+        # pass is freed before the next one is made.
+        z, ahead = combine_hops(model, basis), None
         for epoch in range(1, cfg.max_epochs + 1):
-            train_loss, grad = _loss_and_grads(model, basis, labels, tidx,
-                                               training=True, rng=rng_drop)
+            if ahead is None or model.dropout > 0.0:
+                ahead = _forward_pass(model, z, True, rng_drop)
+            z = None
+            train_loss, grad = _backward(model, basis, labels, tidx, *ahead)
+            ahead = None
             if not np.isfinite(train_loss):
                 raise RuntimeError(f"training loss is not finite at epoch {epoch}")
             opt.step(model.params, grad)
 
-            val_logits = forward(model, basis)
+            z = combine_hops(model, basis)
+            ahead = _forward_pass(model, z, False, None)
+            val_logits = ahead[0]
             val_acc = float(np.mean(np.argmax(val_logits[vidx], axis=1) == labels[vidx]))
             val_loss = _cross_entropy(val_logits, labels, vidx)[0]
             curve.append((epoch, train_loss, val_acc))
@@ -443,6 +457,7 @@ def train(
                 since_best += 1
                 if since_best >= cfg.patience:
                     break
+        z = ahead = val_logits = None  # the test pass needs none of them
 
     np.copyto(model.params, best_params)
     test_acc = evaluate(model, basis, labels, split.test)

@@ -214,6 +214,18 @@ def test_tree_command_counts(tmp_path):
     assert (tmp_path / "tree" / "split.json").is_file()
 
 
+def test_depth2_tree_trains(tmp_path):
+    # Its three nodes split 1/1/1, so no split list is empty.
+    assert run_cli("tree", "--depth", 2, "--out-dir", tmp_path / "tree").returncode == 0
+    d = tmp_path / "tree"
+    proc = run_cli("train", "--edges", d / "edges.txt", "--features", d / "features.csv",
+                   "--labels", d / "labels.txt", "--split", d / "split.json", "--hops", 2,
+                   "--max-epochs", 5, "--out-dir", tmp_path / "run")
+    assert proc.returncode == 0, proc.stderr
+    split = json.loads((d / "split.json").read_text())
+    assert sorted(len(nodes) for nodes in split.values()) == [1, 1, 1]
+
+
 def test_splits_command_sizes(tmp_path):
     proc = run_cli("splits", "--nodes", 10, "--regime", "60/20/20",
                    "--out-dir", tmp_path / "s")

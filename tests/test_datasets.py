@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unifilter.datasets import (
+    REGIMES,
     SynthSpec,
     TreeSpec,
     binary_tree_dataset,
@@ -13,9 +14,10 @@ from unifilter.datasets import (
     planted_homophily_graph,
     synth_variable_h,
     write_dataset,
+    _partition,
 )
-from unifilter.graph import LabeledDataset, homophily_ratio, load_dataset
-from unifilter.rng import stream
+from unifilter.graph import LabeledDataset, Split, homophily_ratio, load_dataset
+from unifilter.rng import stream, substream_seed
 from unifilter.spectral import dirichlet_energy, sample_regular_graph
 
 
@@ -108,6 +110,39 @@ def test_tree_depth2_path_star():
     assert ds.graph.n == 3
     assert ds.graph.m == 2
     assert ds.graph.degrees.tolist() == [2, 1, 1]
+
+
+def _floor_partition(n, f_train, f_val, seed, index):
+    """`_partition` before it gave each list a node: plain floors."""
+    perm = stream(substream_seed(seed, "split", index), "perm").permutation(n)
+    ntr = int(np.floor(f_train * n))
+    nva = int(np.floor(f_val * n))
+    return Split(
+        train=np.sort(perm[:ntr]),
+        val=np.sort(perm[ntr:ntr + nva]),
+        test=np.sort(perm[ntr + nva:]),
+    )
+
+
+def test_partition_is_unchanged_from_five_nodes_up():
+    for f_train, f_val in REGIMES.values():
+        for seed in (0, 1, 7):
+            for n in range(5, 301):
+                got, want = _partition(n, f_train, f_val, seed, 0), _floor_partition(
+                    n, f_train, f_val, seed, 0)
+                for part in ("train", "val", "test"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part)), (n, seed)
+
+
+def test_partition_gives_each_list_a_node_from_three_nodes_up():
+    for f_train, f_val in REGIMES.values():
+        for n in (3, 4):
+            split = _partition(n, f_train, f_val, 0, 0)
+            parts = [split.train, split.val, split.test]
+            assert min(map(len, parts)) >= 1, (n, f_train)
+            assert sorted(np.concatenate(parts).tolist()) == list(range(n))
+    tree = binary_tree_dataset(TreeSpec(depth=2, seed=0)).split
+    assert (len(tree.train), len(tree.val), len(tree.test)) == (1, 1, 1)
 
 
 def test_tree_deterministic_bytes(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import er_graph, path_graph, random_connected_graph, triangle, two_node_edge
+from unifilter import graph as graph_module
 from unifilter.graph import (
     Graph,
     Split,
@@ -196,3 +197,25 @@ def test_load_graph_self_loop_warning_names_the_caller(tmp_path):
     assert [str(w.message) for w in record] == [f"{f}: dropped 2 self-loop line(s)"]
     assert record[0].filename == __file__
     assert g.m == 2
+
+
+def test_load_graph_parses_a_file_with_comment_lines_as_one_array(tmp_path, monkeypatch):
+    # A plain file takes one array parse; whole-line comments cost one more,
+    # not the line loop. An inline '#' still reaches the loop and its message
+    # (test_load_graph_error_messages).
+    parses = []
+    loadtxt = graph_module._loadtxt
+    monkeypatch.setattr(graph_module, "_loadtxt",
+                        lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+    monkeypatch.setattr(graph_module, "_parse_lines", None)
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("0 1\n2 1\n2 3\n0 1\n")
+    commented.write_text("# Nodes: 4 Edges: 3\n0 1\n  # note\n\n2 1\n2 3\n#\n0 1\n")
+    graphs = []
+    for f, count in ((plain, 1), (commented, 2)):
+        parses.clear()
+        graphs.append(load_graph(f, 4))
+        assert len(parses) == count, f.name
+    for a in ("indptr", "indices", "degrees"):
+        assert np.array_equal(getattr(graphs[0], a), getattr(graphs[1], a)), a
+    assert graphs[0].m == graphs[1].m == 3
