@@ -10,6 +10,8 @@ memory is the result plus a few block-sized arrays.
 from __future__ import annotations
 
 import json
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +35,7 @@ _ZERO_NORM = 1e-300
 # small share of the result; a 127 x 100 tree signal and a 50k x 16 signal
 # still fit in one block each, where a split cost 5-10% per build.
 _BLOCK_BYTES = 7 << 20
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass
@@ -93,6 +96,17 @@ def _normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out = M / np.where(dead, 1.0, norms)
     out[:, dead] = 0.0
     return out, dead
+
+
+def _outside_stacklevel() -> int:
+    """The `stacklevel` that makes a warning from this function's caller name
+    the first frame outside this package: the call that asked for the basis,
+    whichever entry point it went through. (Python 3.11's `warnings.warn` has
+    no `skip_file_prefixes`.)"""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _blocks(n: int, d: int) -> list[slice]:
@@ -184,7 +198,7 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
     if health.exhausted:
         what = ("froze after Krylov exhaustion" if h_hat is not None
                 else "exhausted their Krylov subspace")
-        warnings.warn(f"{health.exhausted} column(s) {what}", stacklevel=4)
+        warnings.warn(f"{health.exhausted} column(s) {what}", stacklevel=_outside_stacklevel())
 
 
 def _build(op: PropagationOperator, X: np.ndarray, hops: int, mix,
@@ -338,16 +352,11 @@ def _usable(d: int, degenerate) -> np.ndarray:
 
 
 def _block_frequencies(op: PropagationOperator, M: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Frequency of each column of the hop block M that `keep` marks, NaN elsewhere.
-
-    A column's bits do not depend on the columns beside it. numpy sums each
-    column of a wide product row by row but a 1-wide one pairwise, so a lone
-    kept column is reduced as one of two copies of itself.
-    """
+    """Frequency of each column of the hop block M that `keep` marks, NaN elsewhere."""
     out = np.full(M.shape[1], np.nan)
     cols = np.flatnonzero(keep)
     if cols.size:
-        out[cols] = matrix_frequencies(op, M[:, np.resize(cols, max(2, cols.size))])[:cols.size]
+        out[cols] = matrix_frequencies(op, M[:, cols])
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import ORTHONORMAL, UNI, _walk
 from .graph import Graph, LabeledDataset, Split, homophily_ratio, propagation_operator
-from .model import TrainConfig, train
+from .model import TrainConfig, train_runs
 from .rng import stream, substream_seed
 from .spectral import dirichlet_energy
 
@@ -252,16 +252,15 @@ def ablation_basis_variants(
             graph=dataset.graph, features=dataset.features, labels=dataset.labels,
             split=split, num_classes=dataset.num_classes,
         )
-        run_seed = substream_seed(cfg.seed, "ablation", i)
-        accs["HetFilter"].append(
-            train(ds, replace(cfg, basis=UNI, tau=0.0, seed=run_seed)).test_acc)
-        accs["HomFilter"].append(
-            train(ds, replace(cfg, basis=UNI, tau=1.0, seed=run_seed)).test_acc)
-        accs["OrtFilter"].append(
-            train(ds, replace(cfg, basis=ORTHONORMAL, seed=run_seed)).test_acc)
+        run = replace(cfg, seed=substream_seed(cfg.seed, "ablation", i))
+        het, hom, ort, *grid = train_runs(ds, [
+            replace(run, basis=UNI, tau=0.0), replace(run, basis=UNI, tau=1.0),
+            replace(run, basis=ORTHONORMAL),
+            *(replace(run, basis=UNI, tau=float(tau)) for tau in tau_grid)])
+        for variant, rep in (("HetFilter", het), ("HomFilter", hom), ("OrtFilter", ort)):
+            accs[variant].append(rep.test_acc)
         best = None
-        for tau in tau_grid:
-            rep = train(ds, replace(cfg, basis=UNI, tau=float(tau), seed=run_seed))
+        for tau, rep in zip(tau_grid, grid):
             if best is None or rep.best_val_acc > best[1].best_val_acc:
                 best = (float(tau), rep)
         chosen_tau.append(best[0])
@@ -311,7 +310,9 @@ def oversquashing_experiment(
 
     The dataset (labels, features, split) is drawn once from the spec;
     only the training seeds vary. Per seed, the blended filter picks the
-    tau with the best mean validation accuracy across the hop grid.
+    tau with the best mean validation accuracy across the hop grid. So each
+    tau's basis is the same for every seed and hop count: it is built once,
+    at the largest hop count, and each run trains on its first hops.
     """
     if cfg is None:
         cfg = TrainConfig(hidden=32, layers=2, lr=0.05, dropout=0.0,
@@ -321,24 +322,27 @@ def oversquashing_experiment(
         "homophily-only": {k: [] for k in k_grid},
         "unifilter": {k: [] for k in k_grid},
     }
+
+    def runs(tau: float) -> list[list[tuple[float, float]]]:
+        """(best val acc, test acc) of the run at `tau` per seed, then per k."""
+        reports = train_runs(ds, [
+            replace(cfg, hops=int(k), seed=substream_seed(spec.seed, "squash-run", s),
+                    basis=UNI, tau=tau)
+            for s in range(num_seeds) for k in k_grid])
+        pairs = [(r.best_val_acc, r.test_acc) for r in reports]
+        return [pairs[s * len(k_grid):(s + 1) * len(k_grid)] for s in range(num_seeds)]
+
+    homophily = runs(1.0)
+    blended = {tau: runs(float(tau)) for tau in tau_grid}
     chosen_tau: list[float] = []
     for s in range(num_seeds):
-        run_seed = substream_seed(spec.seed, "squash-run", s)
-        for k in k_grid:
-            acc["homophily-only"][k].append(
-                train(ds, replace(cfg, hops=int(k), seed=run_seed,
-                                  basis=UNI, tau=1.0)).test_acc)
-        runs = {
-            tau: [train(ds, replace(cfg, hops=int(k), seed=run_seed,
-                                    basis=UNI, tau=float(tau)))
-                  for k in k_grid]
-            for tau in tau_grid
-        }
+        for k, (_, test_acc) in zip(k_grid, homophily[s]):
+            acc["homophily-only"][k].append(test_acc)
         best_tau = max(tau_grid,
-                       key=lambda t: np.mean([r.best_val_acc for r in runs[t]]))
+                       key=lambda t: np.mean([val_acc for val_acc, _ in blended[t][s]]))
         chosen_tau.append(float(best_tau))
-        for k, rep in zip(k_grid, runs[best_tau]):
-            acc["unifilter"][k].append(rep.test_acc)
+        for k, (_, test_acc) in zip(k_grid, blended[best_tau][s]):
+            acc["unifilter"][k].append(test_acc)
     means = {
         model: {k: float(np.mean(vals)) for k, vals in table.items()}
         for model, table in acc.items()

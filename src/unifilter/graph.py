@@ -44,14 +44,28 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(edges[:, 0] >= edges[:, 1]):
             raise ValueError("edges must satisfy u < v (no self-loops)")
-        # Sorted row*n + col keys of both directions: the CSR entries in row-major order.
-        keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]))
+        keys = np.sort(edges[:, 0] * n + edges[:, 1])
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges")
-        rows, cols = np.divmod(keys, n)
-        degrees = np.bincount(rows, minlength=n).astype(np.int64)
+        return cls._from_keys(keys, n)
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, n: int) -> "Graph":
+        """Build from the sorted, distinct int64 keys u*n + v of pairs u < v < n,
+        unchecked: `from_edges` checks its pairs, `load_graph` makes its keys so."""
+        # Row-major keys of both directions, the CSR entries in order: the
+        # reversed keys sorted, then one merge of the two sorted runs. Sorted
+        # and reduced to columns in place: fewer m-sized temporaries leave
+        # the heap holding less once the graph is built.
+        lo, hi = np.divmod(keys, n)
+        both = np.concatenate([keys, hi * n + lo])
+        del lo, hi
+        both[len(keys):].sort()
+        both.sort(kind="stable")
+        degrees = np.bincount(both // n, minlength=n).astype(np.int64)
+        np.remainder(both, n, out=both)
         indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-        return cls(n=int(n), m=len(edges), indptr=indptr, indices=cols, degrees=degrees)
+        return cls(n=int(n), m=len(keys), indptr=indptr, indices=both, degrees=degrees)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -113,7 +127,7 @@ def load_graph(path: str | Path, n: int) -> Graph:
         warnings.warn(f"{path}: dropped {np.count_nonzero(loops)} self-loop line(s)", stacklevel=2)
     keys = np.sort(lo[~loops] * n + hi[~loops])
     keys = keys[np.diff(keys, prepend=-1) != 0]  # one of each run of equal keys
-    return Graph.from_edges(np.stack(np.divmod(keys, n), axis=1), n)
+    return Graph._from_keys(keys, n)
 
 
 def _parse_array(path: Path) -> np.ndarray | None:

@@ -165,15 +165,15 @@ def init_filter_model(
 
 def combine_hops(model: FilterModel, basis: BasisTensor) -> np.ndarray:
     """Weighted sum of hop matrices; linear in the hop weights."""
-    if basis.matrices.shape[0] != model.w.shape[0]:
-        raise ValueError(
-            f"basis has {basis.matrices.shape[0]} hop matrices, model expects {model.w.shape[0]}"
-        )
+    M = basis.matrices
+    if M.shape[0] != model.w.shape[0]:
+        raise ValueError(f"basis has {M.shape[0]} hop matrices, model expects {model.w.shape[0]}")
     if basis.columns != model.weights[0].shape[0]:
         raise ValueError(
             f"basis has {basis.columns} columns, first layer expects {model.weights[0].shape[0]}"
         )
-    return np.tensordot(model.w, basis.matrices, axes=(0, 0))
+    # The (1, K+1) @ (K+1, n*d) product `np.tensordot(w, M, axes=(0, 0))` makes.
+    return np.dot(model.w.reshape(1, -1), M.reshape(M.shape[0], -1)).reshape(M.shape[1:])
 
 
 def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
@@ -222,6 +222,15 @@ def _mask_indices(mask: np.ndarray, n: int) -> np.ndarray:
     return idx
 
 
+class _Grad:
+    """The gradient vector every backward pass of one model writes into, laid
+    out like `model.params`, and its views."""
+
+    def __init__(self, model: FilterModel):
+        self.vec = np.empty_like(model.params)
+        self.w, self.weights, self.biases = model.unflatten(self.vec)
+
+
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
                    idx: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-softmax of the true class over rows `idx`, and its
@@ -231,10 +240,12 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
     expv = np.exp(sub)
     total = expv.sum(axis=1, keepdims=True)
     rows, y = np.arange(idx.size), np.asarray(labels)[idx]
-    value = float(np.mean(np.log(total[:, 0]) - sub[rows, y]))
+    # The sum, then one division: the two steps of np.mean.
+    value = float((np.log(total[:, 0]) - sub[rows, y]).sum() / idx.size)
     delta = expv / total
     delta[rows, y] -= 1.0
-    return value, delta / idx.size
+    delta /= idx.size
+    return value, delta
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -246,30 +257,34 @@ def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray, 
                     training: bool = False,
                     rng: np.random.Generator | None = None) -> tuple[float, np.ndarray]:
     """Loss over node indices `idx` and its gradient, laid out like `model.params`."""
-    return _backward(model, basis, labels, idx,
-                     *_forward_pass(model, combine_hops(model, basis), training, rng))
+    grad = _Grad(model)
+    value = _backward(model, basis, labels, idx, grad,
+                      *_forward_pass(model, combine_hops(model, basis), training, rng))
+    return value, grad.vec
 
 
 def _backward(model: FilterModel, basis: BasisTensor, labels: np.ndarray, idx: np.ndarray,
-              logits: np.ndarray, cache) -> tuple[float, np.ndarray]:
-    """`_loss_and_grads` from a forward pass already made: its logits and cache."""
+              grad: _Grad, logits: np.ndarray, cache) -> float:
+    """The loss over rows `idx` from a forward pass already made (its logits
+    and cache); its gradient is written into `grad.vec`."""
     inputs, masks, pre = cache
     value, delta = _cross_entropy(logits, labels, idx)
     gout = np.zeros_like(logits)
     gout[idx] = delta
-
-    grad = np.empty_like(model.params)
-    gw, gW, gb = model.unflatten(grad)
+    # Freed at once: the peak memory falls in the layer loop below.
+    del delta
     for i in range(len(model.weights) - 1, -1, -1):
-        gW[i][...] = inputs[i].T @ gout
-        gb[i][...] = gout.sum(axis=0)
+        grad.weights[i][...] = inputs[i].T @ gout
+        grad.biases[i][...] = gout.sum(axis=0)
         gin = gout @ model.weights[i].T
         if masks[i] is not None:
             gin = gin * masks[i]
         if i > 0:
             gout = gin * (pre[i - 1] > 0.0)
-    gw[...] = np.tensordot(basis.matrices, gin, axes=([1, 2], [0, 1]))
-    return value, grad
+    # The (K+1, n*d) @ (n*d, 1) product `np.tensordot(M, gin, axes=([1, 2], [0, 1]))` makes.
+    M = basis.matrices
+    grad.w[...] = np.dot(M.reshape(M.shape[0], -1), gin.reshape(-1, 1)).reshape(-1)
+    return value
 
 
 def evaluate(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -304,7 +319,14 @@ def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray, m
 
 
 class _Adam:
-    """Adam with L2 weight decay, elementwise over one parameter vector."""
+    """Adam with L2 weight decay, elementwise over one parameter vector.
+
+    A step computes in place, in the order of `params -= lr * (m / bc1) /
+    (sqrt(v / bc2) + eps)` with `g = grad + wd * params`, so its bits are
+    those of that expression. `grad` holds g and then the denominator; one
+    more vector is made per step. A scratch vector kept across steps would
+    be alive at the forward and backward passes and raise the peak memory.
+    """
 
     def __init__(self, size: int, lr: float, weight_decay: float):
         self.lr = lr
@@ -314,15 +336,26 @@ class _Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One update of `params`; `grad` is overwritten."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        g = grad + self.wd * params
+        g = grad
+        g += self.wd * params
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * g
+        tmp = (1.0 - ADAM_BETA1) * g
+        self.m += tmp
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * g * g
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        self.v += tmp
+        np.divide(self.m, bc1, out=tmp)
+        tmp *= self.lr
+        np.divide(self.v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        tmp /= g
+        params -= tmp
 
 
 @dataclass
@@ -357,12 +390,20 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _basis_recipe(cfg: TrainConfig) -> tuple[str, dict]:
+    """The operator kind and the `make_basis` arguments but `hops` of the basis
+    `cfg` names, at `cfg.h_hat`. Configs with equal recipes name one basis up
+    to its hop count."""
+    return (SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS,
+            dict(kind=cfg.basis, h_hat=cfg.h_hat, tau=cfg.tau, reortho=cfg.reortho,
+                 normalize=not cfg.raw_homophily))
+
+
 def _basis_args(graph: Graph, cfg: TrainConfig) -> tuple[PropagationOperator, dict]:
     """The operator and the `make_basis` arguments of the basis `cfg` names
     over `graph`, at `cfg.h_hat`; `build_basis` and `spectrum` share them."""
-    op = propagation_operator(graph, SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS)
-    return op, dict(hops=cfg.hops, kind=cfg.basis, h_hat=cfg.h_hat, tau=cfg.tau,
-                    reortho=cfg.reortho, normalize=not cfg.raw_homophily)
+    kind, args = _basis_recipe(cfg)
+    return propagation_operator(graph, kind), dict(hops=cfg.hops, **args)
 
 
 def build_basis(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> BasisTensor:
@@ -378,6 +419,21 @@ def spectrum(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> list[float]:
     return walk_spectrum(op, X, **args)
 
 
+def _run_h_hat(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[float, bool]:
+    """The h_hat a run of `cfg` on `dataset` builds its basis at, and whether it
+    fell back: `cfg.h_hat`, else the train-edge estimate, else
+    FALLBACK_HOMOPHILY. Raises first if the split is missing or has an empty list."""
+    if dataset.split is None:
+        raise ValueError("dataset has no split")
+    dataset.split.check_nonempty()
+    h_hat = cfg.h_hat
+    if h_hat is None:
+        h_hat = _train_edge_homophily(dataset.graph, dataset.labels, dataset.split.train)
+    if h_hat is None:
+        return FALLBACK_HOMOPHILY, True
+    return h_hat, False
+
+
 def train(
     dataset: LabeledDataset,
     cfg: TrainConfig,
@@ -391,19 +447,9 @@ def train(
     lower validation loss. Fully deterministic for a fixed seed. With
     `return_model` the report comes paired with the restored best model.
     """
-    if dataset.split is None:
-        raise ValueError("dataset has no split")
-    split = dataset.split
-    split.check_nonempty()
-    labels = dataset.labels
+    h_hat, fallback = _run_h_hat(dataset, cfg)
+    split, labels = dataset.split, dataset.labels
     tidx, vidx = (_mask_indices(m, dataset.graph.n) for m in (split.train, split.val))
-
-    h_hat = cfg.h_hat
-    if h_hat is None:
-        h_hat = _train_edge_homophily(dataset.graph, labels, split.train)
-    fallback = h_hat is None
-    if fallback:
-        h_hat = FALLBACK_HOMOPHILY
     if basis is None:
         basis = build_basis(dataset.graph, dataset.features, replace(cfg, h_hat=h_hat))
 
@@ -414,6 +460,7 @@ def train(
         dataset.num_classes, cfg.dropout, rng_init,
     )
     opt = _Adam(model.params.size, cfg.lr, cfg.weight_decay)
+    grad = _Grad(model)
 
     best_acc, best_loss, best_epoch = -1.0, np.inf, -1
     best_params = model.params.copy()
@@ -432,16 +479,18 @@ def train(
             if ahead is None or model.dropout > 0.0:
                 ahead = _forward_pass(model, z, True, rng_drop)
             z = None
-            train_loss, grad = _backward(model, basis, labels, tidx, *ahead)
+            train_loss = _backward(model, basis, labels, tidx, grad, *ahead)
             ahead = None
             if not np.isfinite(train_loss):
                 raise RuntimeError(f"training loss is not finite at epoch {epoch}")
-            opt.step(model.params, grad)
+            opt.step(model.params, grad.vec)
 
             z = combine_hops(model, basis)
             ahead = _forward_pass(model, z, False, None)
             val_logits = ahead[0]
-            val_acc = float(np.mean(np.argmax(val_logits[vidx], axis=1) == labels[vidx]))
+            # The count over the size: the sum and the division np.mean makes.
+            hits = np.count_nonzero(np.argmax(val_logits[vidx], axis=1) == labels[vidx])
+            val_acc = float(hits / vidx.size)
             val_loss = _cross_entropy(val_logits, labels, vidx)[0]
             curve.append((epoch, train_loss, val_acc))
 
@@ -534,6 +583,35 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
     return FilterModel.from_params(params, shapes, float(cfg.get("dropout", 0.0)), cols), cfg
 
 
+def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainReport]:
+    """`[train(dataset, cfg) for cfg in cfgs]`, bit for bit, building each
+    distinct basis once.
+
+    Configs with equal basis recipes name one basis up to its hop count, and
+    a basis at K holds the one at k <= K as its hops 0..k (the hop-prefix
+    property). So each such group builds its basis once, at its largest hop
+    count, and each run trains on the first hops+1 of it. Groups run one
+    after another, so one basis is alive at a time. A shorter view keeps the
+    health fields of the build it views, which `train` does not read.
+    """
+    resolved = [replace(cfg, h_hat=_run_h_hat(dataset, cfg)[0]) for cfg in cfgs]
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(resolved):
+        kind, args = _basis_recipe(cfg)
+        groups.setdefault((kind, *args.items()), []).append(i)
+    reports: list[TrainReport] = [None] * len(cfgs)  # type: ignore[list-item]
+    for members in groups.values():
+        built = build_basis(dataset.graph, dataset.features,
+                            resolved[max(members, key=lambda i: cfgs[i].hops)])
+        for i in members:
+            k = cfgs[i].hops
+            view = built if k == built.hops else replace(built, hops=k,
+                                                         matrices=built.matrices[:k + 1])
+            reports[i] = train(dataset, cfgs[i], basis=view)
+        del built, view  # before the next group's build
+    return reports
+
+
 def random_search(
     dataset: LabeledDataset,
     base_cfg: TrainConfig,
@@ -541,10 +619,10 @@ def random_search(
     seed: int = 0,
     tau_grid: list[float] | None = None,
 ) -> tuple[TrainConfig, TrainReport, list[tuple[TrainConfig, TrainReport]]]:
-    """Random search over the standard ranges; best trial by validation accuracy."""
+    """Random search over the standard ranges; best trial by validation accuracy.
+    Every trial's config is drawn first, so trials that share a tau share a basis."""
     rng = stream(seed, "hyper-search")
-    results: list[tuple[TrainConfig, TrainReport]] = []
-    best: tuple[TrainConfig, TrainReport] | None = None
+    cfgs: list[TrainConfig] = []
     for _ in range(trials):
         cfg = replace(
             base_cfg,
@@ -556,8 +634,10 @@ def random_search(
         )
         if tau_grid is not None:
             cfg = replace(cfg, tau=float(rng.choice(tau_grid)))
-        report = train(dataset, cfg)
-        results.append((cfg, report))
+        cfgs.append(cfg)
+    results = list(zip(cfgs, train_runs(dataset, cfgs)))
+    best: tuple[TrainConfig, TrainReport] | None = None
+    for cfg, report in results:
         if best is None or report.best_val_acc > best[1].best_val_acc:
             best = (cfg, report)
     assert best is not None

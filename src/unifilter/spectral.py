@@ -37,15 +37,23 @@ def signal_frequency(g: Graph, x: np.ndarray, op: PropagationOperator | None = N
 
 
 def matrix_frequencies(op: PropagationOperator, M: np.ndarray) -> np.ndarray:
-    """Per-column signal frequency of an n x d matrix; NaN for zero columns."""
+    """Per-column signal frequency of an n x d matrix; NaN for zero columns.
+
+    A column's bits do not depend on the columns beside it or on M's memory
+    order. numpy sums a product's columns pairwise or row by row depending on
+    both, so the reduction always runs on a column-major array at least two
+    wide: a lone column is reduced as one of two copies of itself.
+    """
     M = np.asarray(M, dtype=np.float64)
+    lone = M.ndim == 2 and M.shape[1] == 1
+    M = np.asfortranarray(M[:, [0, 0]] if lone else M)
     norms = np.linalg.norm(M, axis=0)
     safe = np.where(norms == 0.0, 1.0, norms)
     Mn = M / safe
     vals = 0.5 * (1.0 - np.sum(Mn * op.apply(Mn), axis=0))
     out = np.array([_clamp_unit(v) for v in vals], dtype=np.float64)
     out[norms == 0.0] = np.nan
-    return out
+    return out[:1] if lone else out
 
 
 def _clamp_unit(val: float, tol: float = 1e-12) -> float:

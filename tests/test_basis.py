@@ -344,3 +344,31 @@ def test_unibasis_peak_memory_stays_near_its_result(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * b.matrices.nbytes, peak / b.matrices.nbytes
+
+
+def test_exhaustion_warning_names_the_callers_file():
+    # Whatever entry point builds the basis, the warning points at the first
+    # frame outside the package: this file, on the line of the call.
+    from unifilter import model
+    from unifilter.basis import make_basis, walk_spectrum
+
+    g = sample_regular_graph(12, 4, stream(21, "reg"))
+    op = propagation_operator(g)
+    X = stream(21, "sig").standard_normal((12, 2))
+    X[:, 1] = 1.0  # a fixed point of P: exhausts at hop 1
+    cfg = model.TrainConfig(hops=4, basis="heterophily", h_hat=0.3)
+    calls = {
+        "heterophily_basis": lambda: heterophily_basis(op, X, 4, 0.3),
+        "orthonormal_basis": lambda: orthonormal_basis(op, X, 4),
+        "unibasis": lambda: unibasis(op, X, 4, 0.3, 0.5),
+        "make_basis": lambda: make_basis(op, X, 4, "heterophily", h_hat=0.3),
+        "walk_spectrum": lambda: walk_spectrum(op, X, 4, "heterophily", h_hat=0.3),
+        "build_basis": lambda: model.build_basis(g, X, cfg),
+        "spectrum": lambda: model.spectrum(g, X, cfg),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.filename, "exhaust" in str(w.message)) for w in caught] == \
+            [(__file__, True)], name

@@ -219,3 +219,17 @@ def test_load_graph_parses_a_file_with_comment_lines_as_one_array(tmp_path, monk
     for a in ("indptr", "indices", "degrees"):
         assert np.array_equal(getattr(graphs[0], a), getattr(graphs[1], a)), a
     assert graphs[0].m == graphs[1].m == 3
+
+
+def test_load_graph_builds_from_its_keys_without_checking_them_again(tmp_path, monkeypatch):
+    # load_graph's keys are already sorted and distinct; it must not hand them
+    # to from_edges, which would check and sort them once more.
+    f = tmp_path / "edges.txt"
+    f.write_text("3 0\n0 1\n2 1\n1 0\n3 2\n")
+    want = Graph.from_edges(np.array([[0, 1], [0, 3], [1, 2], [2, 3]]), 4)
+    monkeypatch.setattr(Graph, "from_edges", None)
+    g = load_graph(f, 4)
+    assert (g.n, g.m) == (want.n, want.m)
+    for a in ("indptr", "indices", "degrees"):
+        assert np.array_equal(getattr(g, a), getattr(want, a)), a
+        assert getattr(g, a).dtype == getattr(want, a).dtype, a

@@ -194,3 +194,40 @@ def test_spectrum_report_validates_shape():
         SpectrumReport(entries=[(1, 0.1, 0.0)], kind="uni")
     with pytest.raises(ValueError):
         SpectrumReport(entries=[(0, 1.5, 0.0)], kind="uni")
+
+
+def _frozen_matrix_frequencies(op, M):
+    # Verbatim copy of the earlier `matrix_frequencies`; `_clamp_unit` is unchanged.
+    from unifilter.spectral import _clamp_unit
+
+    M = np.asarray(M, dtype=np.float64)
+    norms = np.linalg.norm(M, axis=0)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    Mn = M / safe
+    vals = 0.5 * (1.0 - np.sum(Mn * op.apply(Mn), axis=0))
+    out = np.array([_clamp_unit(v) for v in vals], dtype=np.float64)
+    out[norms == 0.0] = np.nan
+    return out
+
+
+def test_matrix_frequencies_of_a_column_do_not_depend_on_its_neighbours():
+    from unifilter.spectral import matrix_frequencies
+
+    g = random_connected_graph(40, 0.15, seed=31)
+    op = propagation_operator(g)
+    M = stream(5, "sig").standard_normal((40, 8))
+    M[:, 3] = 0.0
+    for _ in range(4):
+        wide = matrix_frequencies(op, M)
+        # The earlier function on a column-major block of two or more columns,
+        # which is how every spectrum called it: these bits are kept.
+        assert np.array_equal(wide, _frozen_matrix_frequencies(op, M[:, np.arange(8)]),
+                              equal_nan=True)
+        assert np.array_equal(matrix_frequencies(op, np.asfortranarray(M)), wide,
+                              equal_nan=True)
+        assert np.array_equal(matrix_frequencies(op, M[:, [6, 1, 4]]), wide[[6, 1, 4]])
+        for j in range(8):
+            for one in (M[:, [j]], M[:, j:j + 1], M[:, j].reshape(-1, 1).copy()):
+                assert np.array_equal(matrix_frequencies(op, one), wide[j:j + 1],
+                                      equal_nan=True), j
+        M = op.apply(M)
