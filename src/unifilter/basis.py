@@ -201,19 +201,6 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
         warnings.warn(f"{health.exhausted} column(s) {what}", stacklevel=_outside_stacklevel())
 
 
-def _build(op: PropagationOperator, X: np.ndarray, hops: int, mix,
-           recurrences: dict) -> tuple[np.ndarray, _Health]:
-    """Walk X and write mix(h, v, u) of every hop into one (K+1, n, d) buffer."""
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    X = _as_columns(X)
-    out = np.empty((hops + 1, *X.shape), dtype=np.float64)
-    health = _Health()
-    for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
-        out[k, :, cols] = mix(h, v, u)
-    return out, health
-
-
 def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
             reortho: bool = False, normalize: bool = True) -> tuple:
     """What a basis of `kind` keeps of each hop, mix(h, v, u), and the `_walk`
@@ -239,14 +226,24 @@ def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
 def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
                h_hat: float | None = None, tau: float | None = None, reortho: bool = False,
                normalize: bool = True) -> BasisTensor:
-    """The basis of `kind` from its constructor, named by `_recipe`'s keywords."""
-    if kind == UNI:
-        return unibasis(op, X, hops, h_hat, tau, reortho=reortho, normalize_homophily=normalize)
-    if kind == HOMOPHILY:
-        return homophily_basis(op, X, hops, normalize=normalize)
-    if kind == HETEROPHILY:
-        return heterophily_basis(op, X, hops, h_hat, reortho=reortho)
-    return orthonormal_basis(op, X, hops, reortho=reortho)
+    """The basis of `kind`, named by `_recipe`'s keywords: X is walked once and
+    mix(h, v, u) of every hop is written into one (K+1, n, d) buffer. Every
+    kind is built here; `theta` is set for the kinds with an angle
+    (heterophily, uni) and `tau` for uni only."""
+    mix, recurrences = _recipe(kind, h_hat=h_hat, tau=tau, reortho=reortho, normalize=normalize)
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    X = _as_columns(X)
+    out = np.empty((hops + 1, *X.shape), dtype=np.float64)
+    health = _Health()
+    for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
+        out[k, :, cols] = mix(h, v, u)
+    angled = kind in (HETEROPHILY, UNI)
+    return BasisTensor(kind=kind, hops=hops, matrices=out,
+                       theta=0.5 * np.pi * (1.0 - h_hat) if angled else None,
+                       tau=tau if kind == UNI else None,
+                       degenerate_columns=frozenset(health.degenerate),
+                       clamp_events=health.clamps)
 
 
 def homophily_basis(
@@ -261,9 +258,7 @@ def homophily_basis(
     blending mixes unit-scale parts; `normalize=False` keeps the raw
     powers. K successive sparse applications, O(K (m+n) d) total.
     """
-    out, health = _build(op, X, hops, *_recipe(HOMOPHILY, normalize=normalize))
-    return BasisTensor(kind=HOMOPHILY, hops=hops, matrices=out,
-                       degenerate_columns=frozenset(health.degenerate))
+    return make_basis(op, X, hops, HOMOPHILY, normalize=normalize)
 
 
 def orthonormal_basis(
@@ -281,9 +276,7 @@ def orthonormal_basis(
     machine precision. Exhausted columns emit zero vectors from the hop
     where the residual vanished and are flagged degenerate.
     """
-    out, health = _build(op, X, hops, *_recipe(ORTHONORMAL, reortho=reortho))
-    return BasisTensor(kind=ORTHONORMAL, hops=hops, matrices=out,
-                       degenerate_columns=frozenset(health.degenerate))
+    return make_basis(op, X, hops, ORTHONORMAL, reortho=reortho)
 
 
 def update_factor(s_dot_u: np.ndarray, k: int, cos_theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -314,11 +307,7 @@ def heterophily_basis(
     columns freeze at their last valid vector; zero input columns emit
     zeros throughout.
     """
-    out, health = _build(op, X, hops, *_recipe(HETEROPHILY, reortho=reortho, h_hat=h_hat))
-    return BasisTensor(kind=HETEROPHILY, hops=hops, matrices=out,
-                       theta=0.5 * np.pi * (1.0 - h_hat),
-                       degenerate_columns=frozenset(health.degenerate),
-                       clamp_events=health.clamps)
+    return make_basis(op, X, hops, HETEROPHILY, h_hat=h_hat, reortho=reortho)
 
 
 def unibasis(
@@ -337,11 +326,8 @@ def unibasis(
     heterophily construction entirely; tau=0 likewise returns the
     heterophily basis unchanged.
     """
-    out, health = _build(op, X, hops, *_recipe(UNI, h_hat=h_hat, tau=tau, reortho=reortho,
-                                              normalize=normalize_homophily))
-    return BasisTensor(kind=UNI, hops=hops, matrices=out, theta=0.5 * np.pi * (1.0 - h_hat),
-                       tau=tau, degenerate_columns=frozenset(health.degenerate),
-                       clamp_events=health.clamps)
+    return make_basis(op, X, hops, UNI, h_hat=h_hat, tau=tau, reortho=reortho,
+                      normalize=normalize_homophily)
 
 
 def _usable(d: int, degenerate) -> np.ndarray:

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -420,23 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        for flag in UNIT_FLAGS:
-            if getattr(args, flag, None) is not None:
-                _check_unit(getattr(args, flag), flag.replace("_", "-"))
-        for path in _input_files(args):
-            if not Path(path).is_file():
-                raise UsageError(f"missing input file: {path}")
-        code = args.func(args)
-        if code == 0 and args.out_dir is not None:
-            _write_manifest(args)
-        return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # One stderr line per warning; catch_warnings gives the caller its handler back.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            for flag in UNIT_FLAGS:
+                if getattr(args, flag, None) is not None:
+                    _check_unit(getattr(args, flag), flag.replace("_", "-"))
+            for path in _input_files(args):
+                if not Path(path).is_file():
+                    raise UsageError(f"missing input file: {path}")
+            code = args.func(args)
+            if code == 0 and args.out_dir is not None:
+                _write_manifest(args)
+            return code
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, make_basis, walk_spectrum
 from .graph import (FALLBACK_HOMOPHILY, NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset,
-                    PropagationOperator, _train_edge_homophily, propagation_operator)
+                    _train_edge_homophily, propagation_operator)
 from .rng import stream
 
 ADAM_BETA1 = 0.9
@@ -93,29 +93,13 @@ class FilterModel:
     """Hop weight vector plus affine layers with ReLU between them.
 
     Every parameter is a view into one float64 vector, `params`, laid out
-    as w, then each layer's weight matrix followed by its bias. Assigning
-    to `w` writes into that vector. The constructor copies the arrays it
-    is given into a new vector; `from_params` wraps an existing one.
+    as w, then each layer's weight matrix followed by its bias; `shapes`
+    lists those shapes in that order. The model wraps the vector it is
+    given, not a copy, and assigning to `w` writes into it.
     """
 
-    def __init__(self, w: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray],
-                 dropout: float, num_classes: int):
-        layers = [a for W, b in zip(weights, biases) for a in (W, b)]
-        arrays = [np.asarray(a, dtype=np.float64) for a in (w, *layers)]
-        self._setup(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays],
-                    dropout, num_classes)
-
-    @classmethod
-    def from_params(cls, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float,
-                    num_classes: int) -> "FilterModel":
-        """A model whose parameters are views into `params` itself, not a copy;
-        `shapes` lists the shape of w, then of each layer's W and b."""
-        model = cls.__new__(cls)
-        model._setup(params, shapes, dropout, num_classes)
-        return model
-
-    def _setup(self, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float,
-               num_classes: int) -> None:
+    def __init__(self, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float,
+                 num_classes: int):
         self.params, self._shapes = params, list(shapes)
         self._w, self.weights, self.biases = self.unflatten(params)
         self.dropout = dropout
@@ -154,8 +138,7 @@ def init_filter_model(
     shapes = [(hops + 1,)] + [s for din, dout in zip(dims[:-1], dims[1:])
                               for s in ((din, dout), (dout,))]
     # Allocated first and filled in place, as `_checkpoint_model` does.
-    model = FilterModel.from_params(np.zeros(sum(map(math.prod, shapes))), shapes, dropout,
-                                    num_classes)
+    model = FilterModel(np.zeros(sum(map(math.prod, shapes))), shapes, dropout, num_classes)
     model.w = 1.0 / (hops + 1)
     for W in model.weights:
         bound = 1.0 / np.sqrt(W.shape[0])
@@ -231,10 +214,10 @@ class _Grad:
         self.w, self.weights, self.biases = model.unflatten(self.vec)
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
-                   idx: np.ndarray) -> tuple[float, np.ndarray]:
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray,
+                   grad: bool = True) -> tuple[float, np.ndarray | None]:
     """Mean negative log-softmax of the true class over rows `idx`, and its
-    gradient with respect to those rows' logits."""
+    gradient with respect to those rows' logits (None unless `grad`)."""
     sub = logits[idx]
     sub = sub - sub.max(axis=1, keepdims=True)
     expv = np.exp(sub)
@@ -242,6 +225,8 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
     rows, y = np.arange(idx.size), np.asarray(labels)[idx]
     # The sum, then one division: the two steps of np.mean.
     value = float((np.log(total[:, 0]) - sub[rows, y]).sum() / idx.size)
+    if not grad:
+        return value, None
     delta = expv / total
     delta[rows, y] -= 1.0
     delta /= idx.size
@@ -250,7 +235,7 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
 
 def loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     """Mean negative log-softmax of the true class over the masked nodes."""
-    return _cross_entropy(logits, labels, _mask_indices(mask, logits.shape[0]))[0]
+    return _cross_entropy(logits, labels, _mask_indices(mask, logits.shape[0]), grad=False)[0]
 
 
 def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray, idx: np.ndarray,
@@ -390,33 +375,26 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _basis_recipe(cfg: TrainConfig) -> tuple[str, dict]:
-    """The operator kind and the `make_basis` arguments but `hops` of the basis
-    `cfg` names, at `cfg.h_hat`. Configs with equal recipes name one basis up
-    to its hop count."""
+def _basis_args(cfg: TrainConfig) -> tuple[str, dict]:
+    """The operator kind and the `make_basis` arguments of the basis `cfg`
+    names, at `cfg.h_hat`. `build_basis` and `spectrum` read them; configs
+    whose arguments at hops=0 are equal name one basis up to its hop count."""
     return (SELF_LOOPS if cfg.self_loops else NO_SELF_LOOPS,
-            dict(kind=cfg.basis, h_hat=cfg.h_hat, tau=cfg.tau, reortho=cfg.reortho,
-                 normalize=not cfg.raw_homophily))
-
-
-def _basis_args(graph: Graph, cfg: TrainConfig) -> tuple[PropagationOperator, dict]:
-    """The operator and the `make_basis` arguments of the basis `cfg` names
-    over `graph`, at `cfg.h_hat`; `build_basis` and `spectrum` share them."""
-    kind, args = _basis_recipe(cfg)
-    return propagation_operator(graph, kind), dict(hops=cfg.hops, **args)
+            dict(hops=cfg.hops, kind=cfg.basis, h_hat=cfg.h_hat, tau=cfg.tau,
+                 reortho=cfg.reortho, normalize=not cfg.raw_homophily))
 
 
 def build_basis(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> BasisTensor:
     """The basis `cfg` names over `graph` and features `X`, at `cfg.h_hat`."""
-    op, args = _basis_args(graph, cfg)
-    return make_basis(op, X, **args)
+    kind, args = _basis_args(cfg)
+    return make_basis(propagation_operator(graph, kind), X, **args)
 
 
 def spectrum(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> list[float]:
     """`basis_spectrum(graph, build_basis(graph, X, cfg))`, bit for bit, streamed
     hop block by hop block: memory does not grow with the hop count."""
-    op, args = _basis_args(graph, cfg)
-    return walk_spectrum(op, X, **args)
+    kind, args = _basis_args(cfg)
+    return walk_spectrum(propagation_operator(graph, kind), X, **args)
 
 
 def _run_h_hat(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[float, bool]:
@@ -491,7 +469,7 @@ def train(
             # The count over the size: the sum and the division np.mean makes.
             hits = np.count_nonzero(np.argmax(val_logits[vidx], axis=1) == labels[vidx])
             val_acc = float(hits / vidx.size)
-            val_loss = _cross_entropy(val_logits, labels, vidx)[0]
+            val_loss = _cross_entropy(val_logits, labels, vidx, grad=False)[0]
             curve.append((epoch, train_loss, val_acc))
 
             improved_acc = val_acc > best_acc
@@ -580,7 +558,7 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
                          sum(map(len, values)))
     if not np.isfinite(params).all():
         raise ValueError("checkpoint holds a non-finite value")
-    return FilterModel.from_params(params, shapes, float(cfg.get("dropout", 0.0)), cols), cfg
+    return FilterModel(params, shapes, float(cfg.get("dropout", 0.0)), cols), cfg
 
 
 def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainReport]:
@@ -597,7 +575,7 @@ def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainRe
     resolved = [replace(cfg, h_hat=_run_h_hat(dataset, cfg)[0]) for cfg in cfgs]
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(resolved):
-        kind, args = _basis_recipe(cfg)
+        kind, args = _basis_args(replace(cfg, hops=0))
         groups.setdefault((kind, *args.items()), []).append(i)
     reports: list[TrainReport] = [None] * len(cfgs)  # type: ignore[list-item]
     for members in groups.values():

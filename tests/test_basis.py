@@ -12,10 +12,12 @@ from unifilter.basis import (
     export_basis,
     heterophily_basis,
     homophily_basis,
+    make_basis,
     orthonormal_basis,
     orthonormality_deviation,
     unibasis,
     update_factor,
+    walk_spectrum,
 )
 from unifilter.graph import propagation_operator
 from unifilter.rng import stream
@@ -179,6 +181,42 @@ def test_unibasis_rejects_bad_tau():
     op = propagation_operator(g)
     with pytest.raises(ValueError, match="tau"):
         unibasis(op, np.ones((10, 1)), 2, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("kind, named, recipe, theta, tau", [
+    ("homophily", lambda op, X, K: homophily_basis(op, X, K), {}, None, None),
+    ("homophily", lambda op, X, K: homophily_basis(op, X, K, normalize=False),
+     dict(normalize=False), None, None),
+    ("orthonormal", lambda op, X, K: orthonormal_basis(op, X, K), {}, None, None),
+    ("heterophily", lambda op, X, K: heterophily_basis(op, X, K, 0.3, reortho=True),
+     dict(h_hat=0.3, reortho=True), 0.35 * np.pi, None),
+    ("uni", lambda op, X, K: unibasis(op, X, K, 0.3, 0.0), dict(h_hat=0.3, tau=0.0),
+     0.35 * np.pi, 0.0),
+    ("uni", lambda op, X, K: unibasis(op, X, K, 0.3, 0.5), dict(h_hat=0.3, tau=0.5),
+     0.35 * np.pi, 0.5),
+    ("uni", lambda op, X, K: unibasis(op, X, K, 0.3, 1.0), dict(h_hat=0.3, tau=1.0),
+     0.35 * np.pi, 1.0),
+])
+def test_make_basis_is_every_named_constructor(kind, named, recipe, theta, tau):
+    g, X, hops = _exhausting_signal()
+    op = propagation_operator(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        b, ref = make_basis(op, X, hops, kind, **recipe), named(op, X, hops)
+    assert np.array_equal(b.matrices, ref.matrices)
+    assert (b.kind, b.hops, b.theta, b.tau) == (ref.kind, ref.hops, ref.theta, ref.tau)
+    assert (b.kind, b.hops, b.tau) == (kind, hops, tau)
+    assert b.theta == (theta if theta is None else pytest.approx(theta))
+    assert b.degenerate_columns == ref.degenerate_columns
+    assert b.clamp_events == ref.clamp_events
+
+
+def test_make_basis_rejects_an_unknown_kind():
+    g = random_connected_graph(10, 0.4, seed=14)
+    op = propagation_operator(g)
+    for build in (make_basis, walk_spectrum):
+        with pytest.raises(ValueError, match="unknown basis kind 'bogus'"):
+            build(op, np.ones((10, 1)), 2, "bogus")
 
 
 def test_basis_spectrum_long_run_homophily_frequency_vanishes():

@@ -415,6 +415,45 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["basis", "train"])
+def test_warnings_print_as_one_line(toy_dir, tmp_path, command):
+    if command == "basis":
+        # A 12-cycle is regular, so the constant column is a fixed point of P
+        # and its Krylov subspace is exhausted at hop 1.
+        edges = tmp_path / "cycle.txt"
+        edges.write_text("".join(f"{i} {(i + 1) % 12}\n" for i in range(12)))
+        features = tmp_path / "features.csv"
+        X = np.column_stack([stream(3, "warn").standard_normal(12), np.ones(12)])
+        np.savetxt(features, X, delimiter=",")
+        args = ["basis", "--edges", edges, "--features", features, "--mode", "hetero",
+                "--hom-ratio", 0.3, "--hops", 3, "--out-dir", tmp_path / "out"]
+        expected = "warning: 1 column(s) froze after Krylov exhaustion\n"
+    else:
+        edges = tmp_path / "edges.txt"
+        edges.write_text((toy_dir / "edges.txt").read_text() + "3 3\n")
+        args = toy_train_args(toy_dir, tmp_path / "out")
+        args[args.index("--edges") + 1] = edges
+        expected = f"warning: {edges}: dropped 1 self-loop line(s)\n"
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == expected
+
+
+def test_main_gives_in_process_callers_their_warning_handler_back(toy_dir, tmp_path, capsys):
+    import warnings
+
+    from unifilter.cli import main
+
+    edges = tmp_path / "edges.txt"
+    edges.write_text((toy_dir / "edges.txt").read_text() + "3 3\n")
+    args = [str(a) for a in toy_train_args(toy_dir, tmp_path / "out")]
+    args[args.index("--edges") + 1] = str(edges)
+    before = warnings.showwarning
+    assert main(args) == 0
+    assert warnings.showwarning is before
+    assert capsys.readouterr().err == f"warning: {edges}: dropped 1 self-loop line(s)\n"
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

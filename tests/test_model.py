@@ -124,8 +124,8 @@ def _identity_head_model(onehot: np.ndarray, flip: bool = False) -> tuple[Filter
     n, c = onehot.shape
     basis = BasisTensor(kind="uni", hops=0, matrices=onehot[None].astype(float))
     W = np.eye(c)[:, ::-1].copy() if flip else np.eye(c)
-    model = FilterModel(w=np.ones(1), weights=[W], biases=[np.zeros(c)],
-                        dropout=0.0, num_classes=c)
+    model = FilterModel(np.concatenate([np.ones(1), W.ravel(), np.zeros(c)]),
+                        [(1,), (c, c), (c,)], dropout=0.0, num_classes=c)
     return model, basis
 
 
