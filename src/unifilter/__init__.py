@@ -26,11 +26,8 @@ from .basis import (  # noqa: E402  (after the thread cap)
     angle_law_deviation,
     basis_spectrum,
     export_basis,
-    heterophily_basis,
-    homophily_basis,
-    orthonormal_basis,
+    make_basis,
     orthonormality_deviation,
-    unibasis,
 )
 from .datasets import (
     SynthSpec,

@@ -1,6 +1,6 @@
 """Polynomial signal bases: homophily, orthonormal auxiliary, adaptive heterophily, blended.
 
-All constructors are per-column independent: column j of every hop matrix
+Every kind is per-column independent: column j of every hop matrix
 depends only on column j of the input. Construction therefore streams: one
 walker runs the recurrences hop by hop over blocks of columns, and each hop
 is written straight into the preallocated (K+1, n, d) result, so the peak
@@ -49,16 +49,15 @@ class BasisTensor:
     """
 
     kind: str
-    hops: int
     matrices: np.ndarray
     theta: float | None = None
     tau: float | None = None
     degenerate_columns: frozenset[int] = frozenset()
     clamp_events: int = 0
 
-    def __post_init__(self) -> None:
-        if self.matrices.shape[0] != self.hops + 1:
-            raise ValueError("matrices must hold exactly hops+1 entries")
+    @property
+    def hops(self) -> int:
+        return self.matrices.shape[0] - 1
 
     @property
     def n(self) -> int:
@@ -201,10 +200,17 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
         warnings.warn(f"{health.exhausted} column(s) {what}", stacklevel=_outside_stacklevel())
 
 
+def _blend(h: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
+    """The uni hop tau*h + (1-tau)*u; tau=1 and tau=0 give h and u themselves."""
+    return h if tau == 1.0 else u if tau == 0.0 else tau * h + (1.0 - tau) * u
+
+
 def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
             reortho: bool = False, normalize: bool = True) -> tuple:
     """What a basis of `kind` keeps of each hop, mix(h, v, u), and the `_walk`
     options that produce those parts. Construction and `walk_spectrum` share it."""
+    if kind in (HETEROPHILY, UNI) and h_hat is None:
+        raise ValueError(f"kind {kind!r} needs h_hat")
     if kind == HOMOPHILY:
         return (lambda h, v, u: h), dict(diffuse=True, normalize=normalize)
     if kind == ORTHONORMAL:
@@ -213,23 +219,40 @@ def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
         return (lambda h, v, u: u), dict(reortho=reortho, h_hat=h_hat)
     if kind != UNI:
         raise ValueError(f"unknown basis kind {kind!r}")
+    if tau is None:
+        raise ValueError("kind 'uni' needs tau")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-
-    def mix(h, v, u):
-        return h if tau == 1.0 else u if tau == 0.0 else tau * h + (1.0 - tau) * u
-
-    return mix, dict(diffuse=tau > 0.0, normalize=normalize, reortho=reortho,
-                     h_hat=None if tau == 1.0 else h_hat)
+    return (lambda h, v, u: _blend(h, u, tau)), dict(
+        diffuse=tau > 0.0, normalize=normalize, reortho=reortho,
+        h_hat=None if tau == 1.0 else h_hat)
 
 
 def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
                h_hat: float | None = None, tau: float | None = None, reortho: bool = False,
                normalize: bool = True) -> BasisTensor:
-    """The basis of `kind`, named by `_recipe`'s keywords: X is walked once and
-    mix(h, v, u) of every hop is written into one (K+1, n, d) buffer. Every
-    kind is built here; `theta` is set for the kinds with an angle
-    (heterophily, uni) and `tau` for uni only."""
+    """The basis of `kind` over X at hops 0..K: X is walked once and each hop
+    is written into one (K+1, n, d) buffer. `theta` = (1 - h_hat) * pi/2 is
+    set for heterophily and uni, `tau` for uni only. A zero input column
+    gives zeros at every hop.
+
+    - homophily: hop k is the k-fold diffusion of X, K sparse products in
+      all, O(K (m+n) d). Columns are unit-normalized per hop, so a blend
+      mixes unit-scale parts; `normalize=False` keeps the raw powers.
+    - orthonormal: per-column Krylov vectors of the three-term recurrence:
+      each is the next propagation orthogonalized against the two before.
+      `reortho` adds two passes against the whole history, for orthogonality
+      near machine precision at more than the O(K (m+n)) cost. A column
+      whose residual vanishes (Krylov exhaustion) is zero from then on.
+    - heterophily (needs `h_hat`): vectors that pairwise meet at the angle
+      theta. Each hop mixes the running mean of the previous ones with the
+      fresh orthonormal direction, weighted by `update_factor`; when
+      cos(theta) underflows (h_hat ~ 0) it is that direction, the factor's
+      exact limit. An exhausted column freezes at its last valid vector.
+    - uni (needs `h_hat` and `tau`): tau*h_k + (1-tau)*u_k of the two
+      bases above. tau=1 is the homophily basis bit for bit and skips the
+      heterophily recurrences; tau=0 is the heterophily basis unchanged.
+    """
     mix, recurrences = _recipe(kind, h_hat=h_hat, tau=tau, reortho=reortho, normalize=normalize)
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -239,44 +262,11 @@ def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
     for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
         out[k, :, cols] = mix(h, v, u)
     angled = kind in (HETEROPHILY, UNI)
-    return BasisTensor(kind=kind, hops=hops, matrices=out,
+    return BasisTensor(kind=kind, matrices=out,
                        theta=0.5 * np.pi * (1.0 - h_hat) if angled else None,
                        tau=tau if kind == UNI else None,
                        degenerate_columns=frozenset(health.degenerate),
                        clamp_events=health.clamps)
-
-
-def homophily_basis(
-    op: PropagationOperator,
-    X: np.ndarray,
-    hops: int,
-    normalize: bool = True,
-) -> BasisTensor:
-    """Repeated one-hop propagation of X: hop k holds the k-fold diffusion.
-
-    Columns are unit-normalized per hop by default so that downstream
-    blending mixes unit-scale parts; `normalize=False` keeps the raw
-    powers. K successive sparse applications, O(K (m+n) d) total.
-    """
-    return make_basis(op, X, hops, HOMOPHILY, normalize=normalize)
-
-
-def orthonormal_basis(
-    op: PropagationOperator,
-    X: np.ndarray,
-    hops: int,
-    reortho: bool = False,
-) -> BasisTensor:
-    """Per-column orthonormal Krylov basis from the three-term recurrence.
-
-    Each new vector is the propagated previous one, orthogonalized against
-    the two predecessors and renormalized. With `reortho` every new vector
-    is additionally orthogonalized against the full history (two passes),
-    trading the O(K (m+n)) cost for floating-point orthogonality near
-    machine precision. Exhausted columns emit zero vectors from the hop
-    where the residual vanished and are flagged degenerate.
-    """
-    return make_basis(op, X, hops, ORTHONORMAL, reortho=reortho)
 
 
 def update_factor(s_dot_u: np.ndarray, k: int, cos_theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,46 +278,6 @@ def update_factor(s_dot_u: np.ndarray, k: int, cos_theta: float) -> tuple[np.nda
     rad = (s_dot_u / (k * cos_theta)) ** 2 - ((k - 1) * cos_theta + 1.0) / k
     neg = rad < 0.0
     return np.sqrt(np.clip(rad, 0.0, None)), neg
-
-
-def heterophily_basis(
-    op: PropagationOperator,
-    X: np.ndarray,
-    hops: int,
-    h_hat: float,
-    reortho: bool = False,
-) -> BasisTensor:
-    """Adaptive basis whose vectors pairwise form the angle (1 - h_hat) * pi/2.
-
-    Per column: start from the normalized signal, then repeatedly mix the
-    running mean of previous vectors with a fresh orthonormal direction,
-    weighted so every pair of outputs meets at the target angle. When
-    cos(theta) underflows (h_hat ~ 0) the update degenerates to taking the
-    orthonormal direction itself, which is its exact limit. Exhausted
-    columns freeze at their last valid vector; zero input columns emit
-    zeros throughout.
-    """
-    return make_basis(op, X, hops, HETEROPHILY, h_hat=h_hat, reortho=reortho)
-
-
-def unibasis(
-    op: PropagationOperator,
-    X: np.ndarray,
-    hops: int,
-    h_hat: float,
-    tau: float,
-    reortho: bool = False,
-    normalize_homophily: bool = True,
-) -> BasisTensor:
-    """Convex blend tau*h_k + (1-tau)*u_k of the homophily and heterophily
-    bases, written hop by hop into one buffer.
-
-    tau=1 reproduces the homophily basis bit for bit and skips the
-    heterophily construction entirely; tau=0 likewise returns the
-    heterophily basis unchanged.
-    """
-    return make_basis(op, X, hops, UNI, h_hat=h_hat, tau=tau, reortho=reortho,
-                      normalize=normalize_homophily)
 
 
 def _usable(d: int, degenerate) -> np.ndarray:

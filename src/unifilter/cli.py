@@ -29,11 +29,12 @@ class UsageError(Exception):
 
 
 # Flags that name input files: main checks that each given one exists and
-# the manifest digests the same files. Unit-interval flags are checked by
-# main in every command that has them.
+# the manifest digests the same files. Unit-interval flags and count flags
+# (with their least value) are checked by main in every command that has them.
 FILE_FLAGS = ("checkpoint", "edges", "features", "labels", "split", "base_edges",
               "base_labels")
 UNIT_FLAGS = ("tau", "hom_ratio", "target")
+COUNT_FLAGS = {"search": 0, "num_splits": 1, "num_seeds": 1}
 
 
 def _sha256(path: str) -> str:
@@ -428,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
             for flag in UNIT_FLAGS:
                 if getattr(args, flag, None) is not None:
                     _check_unit(getattr(args, flag), flag.replace("_", "-"))
+            for flag, least in COUNT_FLAGS.items():
+                if getattr(args, flag, least) < least:
+                    raise UsageError(f"{flag.replace('_', '-')} must be >= {least}")
             for path in _input_files(args):
                 if not Path(path).is_file():
                     raise UsageError(f"missing input file: {path}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ORTHONORMAL, UNI, _walk
+from .basis import ORTHONORMAL, UNI, _blend, _walk
 from .graph import Graph, LabeledDataset, Split, homophily_ratio, propagation_operator
 from .model import TrainConfig, train_runs
 from .rng import stream, substream_seed
@@ -244,6 +244,8 @@ def ablation_basis_variants(
     orthonormal basis, and UniFilter picks tau per split by validation
     accuracy. Returns per-seed accuracies, means, and gaps to UniFilter.
     """
+    if num_seeds < 1:
+        raise ValueError("num_seeds must be >= 1")
     splits = make_splits(dataset.graph.n, regime, num_seeds, cfg.seed)
     accs: dict[str, list[float]] = {v: [] for v in VARIANTS}
     chosen_tau: list[float] = []
@@ -259,12 +261,9 @@ def ablation_basis_variants(
             *(replace(run, basis=UNI, tau=float(tau)) for tau in tau_grid)])
         for variant, rep in (("HetFilter", het), ("HomFilter", hom), ("OrtFilter", ort)):
             accs[variant].append(rep.test_acc)
-        best = None
-        for tau, rep in zip(tau_grid, grid):
-            if best is None or rep.best_val_acc > best[1].best_val_acc:
-                best = (float(tau), rep)
-        chosen_tau.append(best[0])
-        accs["UniFilter"].append(best[1].test_acc)
+        tau, best = max(zip(tau_grid, grid), key=lambda pair: pair[1].best_val_acc)
+        chosen_tau.append(float(tau))
+        accs["UniFilter"].append(best.test_acc)
     means = {v: float(np.mean(accs[v])) for v in VARIANTS}
     gaps = {v: means["UniFilter"] - means[v] for v in VARIANTS if v != "UniFilter"}
     return {"acc": accs, "mean": means, "gap": gaps, "uni_tau": chosen_tau}
@@ -294,7 +293,7 @@ def energy_trajectory(
     for _, _, h, _, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat,
                                full_width=True):
         for row, tau in zip(energies, tau_grid):
-            row.append(dirichlet_energy(g, tau * h + (1.0 - tau) * u))
+            row.append(dirichlet_energy(g, _blend(h, u, tau)))
     return [(float(tau), k, e) for tau, row in zip(tau_grid, energies) for k, e in enumerate(row)]
 
 
@@ -314,6 +313,8 @@ def oversquashing_experiment(
     tau's basis is the same for every seed and hop count: it is built once,
     at the largest hop count, and each run trains on its first hops.
     """
+    if num_seeds < 1:
+        raise ValueError("num_seeds must be >= 1")
     if cfg is None:
         cfg = TrainConfig(hidden=32, layers=2, lr=0.05, dropout=0.0,
                           patience=50, max_epochs=300)

@@ -583,8 +583,7 @@ def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainRe
                             resolved[max(members, key=lambda i: cfgs[i].hops)])
         for i in members:
             k = cfgs[i].hops
-            view = built if k == built.hops else replace(built, hops=k,
-                                                         matrices=built.matrices[:k + 1])
+            view = replace(built, matrices=built.matrices[:k + 1])
             reports[i] = train(dataset, cfgs[i], basis=view)
         del built, view  # before the next group's build
     return reports
@@ -599,6 +598,8 @@ def random_search(
 ) -> tuple[TrainConfig, TrainReport, list[tuple[TrainConfig, TrainReport]]]:
     """Random search over the standard ranges; best trial by validation accuracy.
     Every trial's config is drawn first, so trials that share a tau share a basis."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = stream(seed, "hyper-search")
     cfgs: list[TrainConfig] = []
     for _ in range(trials):
@@ -614,9 +615,5 @@ def random_search(
             cfg = replace(cfg, tau=float(rng.choice(tau_grid)))
         cfgs.append(cfg)
     results = list(zip(cfgs, train_runs(dataset, cfgs)))
-    best: tuple[TrainConfig, TrainReport] | None = None
-    for cfg, report in results:
-        if best is None or report.best_val_acc > best[1].best_val_acc:
-            best = (cfg, report)
-    assert best is not None
-    return best[0], best[1], results
+    best_cfg, best = max(results, key=lambda result: result[1].best_val_acc)
+    return best_cfg, best, results

@@ -23,9 +23,7 @@ import pytest
 from conftest import random_connected_graph
 from unifilter.basis import (
     angle_law_deviation,
-    heterophily_basis,
-    homophily_basis,
-    orthonormal_basis,
+    make_basis,
     orthonormality_deviation,
 )
 from unifilter.datasets import (
@@ -38,7 +36,6 @@ from unifilter.datasets import (
 )
 from unifilter.graph import Graph, propagation_operator
 from unifilter.model import TrainConfig, gradient_check, init_filter_model
-from unifilter.basis import unibasis
 from unifilter.rng import stream
 from unifilter.spectral import (
     dense_eigen_oracle,
@@ -79,7 +76,7 @@ def test_pairwise_angle_law():
         g = random_connected_graph(n, min(0.3, 8.0 / n + 0.05), seed=1000 + case)
         op = propagation_operator(g)
         x = stream(case, "angle-sig").standard_normal((n, 1))
-        b = heterophily_basis(op, x, hops, h)
+        b = make_basis(op, x, hops, "heterophily", h_hat=h)
         off, diag = angle_law_deviation(b)
         worst_off, worst_diag = max(worst_off, off), max(worst_diag, diag)
         cases += 1
@@ -101,10 +98,11 @@ def test_orthonormal_auxiliary_basis():
         g = random_connected_graph(n, min(0.3, 8.0 / n + 0.05), seed=1000 + case)
         op = propagation_operator(g)
         x = stream(case, "angle-sig").standard_normal((n, 1))
-        worst_plain = max(worst_plain, orthonormality_deviation(orthonormal_basis(op, x, hops)))
+        worst_plain = max(worst_plain,
+                          orthonormality_deviation(make_basis(op, x, hops, "orthonormal")))
         worst_reortho = max(
             worst_reortho,
-            orthonormality_deviation(orthonormal_basis(op, x, hops, reortho=True)))
+            orthonormality_deviation(make_basis(op, x, hops, "orthonormal", reortho=True)))
         cases += 1
     ok = worst_plain < 1e-6 and worst_reortho < 1e-10
     report("orthonormal_auxiliary_basis", ok,
@@ -187,7 +185,7 @@ def test_homophily_basis_convergence():
         g = random_connected_graph(n, max(0.1, 2 * np.log(n) / n), seed=4000 + i)
         op = propagation_operator(g)
         x = stream(i, "conv-sig").standard_normal(n)
-        basis = homophily_basis(op, x, 201)
+        basis = make_basis(op, x, 201, "homophily")
         M = basis.matrices[:, :, 0]
         cos = np.einsum("kn,kn->k", M[:-1], M[1:])
         drops = np.flatnonzero(cos[1:] < cos[:-1] - 1e-12)
@@ -253,7 +251,7 @@ def test_gradient_correctness():
         g = random_connected_graph(25, 0.25, seed=5000 + seed, bipartite_ok=True)
         op = propagation_operator(g)
         X = rng.standard_normal((g.n, 5))
-        basis = unibasis(op, X, 4, 0.4, 0.6)
+        basis = make_basis(op, X, 4, "uni", h_hat=0.4, tau=0.6)
         model = init_filter_model(4, 5, 8, 2, 3, 0.0, rng)
         model.w = model.w + 0.1 * rng.standard_normal(5)
         labels = rng.integers(0, 3, g.n)
@@ -290,7 +288,7 @@ def test_construction_cost_scaling():
 
     def timed(op, k):
         t0 = time.perf_counter()
-        heterophily_basis(op, x, k, 0.3)
+        make_basis(op, x, k, "heterophily", h_hat=0.3)
         return time.perf_counter() - t0
 
     timed(op_base, 2)

@@ -10,12 +10,8 @@ from unifilter.basis import (
     angle_law_deviation,
     basis_spectrum,
     export_basis,
-    heterophily_basis,
-    homophily_basis,
     make_basis,
-    orthonormal_basis,
     orthonormality_deviation,
-    unibasis,
     update_factor,
     walk_spectrum,
 )
@@ -28,19 +24,19 @@ def test_homophily_basis_zero_hops_is_normalized_input(rng):
     g = random_connected_graph(20, 0.3, seed=0)
     op = propagation_operator(g)
     X = rng.standard_normal((20, 3))
-    b = homophily_basis(op, X, 0)
+    b = make_basis(op, X, 0, "homophily")
     np.testing.assert_allclose(b.matrices[0], X / np.linalg.norm(X, axis=0), atol=1e-15)
 
 
 def test_homophily_basis_two_node_hops():
     op = propagation_operator(two_node_edge())
-    b = homophily_basis(op, np.array([1.0, 0.0]), 2)
+    b = make_basis(op, np.array([1.0, 0.0]), 2, "homophily")
     np.testing.assert_allclose(b.matrices[:, :, 0], [[1, 0], [0, 1], [1, 0]], atol=1e-15)
 
 
 def test_homophily_basis_raw_keeps_scale():
     op = propagation_operator(two_node_edge(), "self-loops")
-    b = homophily_basis(op, np.array([2.0, 0.0]), 1, normalize=False)
+    b = make_basis(op, np.array([2.0, 0.0]), 1, "homophily", normalize=False)
     np.testing.assert_allclose(b.matrices[0][:, 0], [2.0, 0.0])
     np.testing.assert_allclose(b.matrices[1][:, 0], [1.0, 1.0])
 
@@ -49,7 +45,7 @@ def test_homophily_hop_cosines_climb_toward_one():
     g = random_connected_graph(100, 0.08, seed=12)
     op = propagation_operator(g)
     x = stream(12, "sig").standard_normal(100)
-    b = homophily_basis(op, x, 101)
+    b = make_basis(op, x, 101, "homophily")
     M = b.matrices[:, :, 0]
     cos = np.einsum("kn,kn->k", M[:-1], M[1:])
     # hops 50..100: cosine non-decreasing (floating slack) and angle near 0
@@ -79,7 +75,7 @@ def test_heterophily_pairwise_angles_match_target():
     g = random_connected_graph(50, 0.15, seed=3)
     op = propagation_operator(g)
     x = stream(3, "sig").standard_normal((50, 2))
-    b = heterophily_basis(op, x, 10, 0.3)
+    b = make_basis(op, x, 10, "heterophily", h_hat=0.3)
     off, diag = angle_law_deviation(b)
     gram = np.einsum("knd,jnd->kjd", b.matrices, b.matrices)
     assert np.allclose(gram[~np.eye(11, dtype=bool)], np.cos(0.35 * np.pi), atol=1e-6)
@@ -91,7 +87,7 @@ def test_heterophily_h_one_collapses_to_one_direction():
     g = random_connected_graph(30, 0.2, seed=5)
     op = propagation_operator(g)
     x = stream(5, "sig").standard_normal(30)
-    b = heterophily_basis(op, x, 8, 1.0)
+    b = make_basis(op, x, 8, "heterophily", h_hat=1.0)
     off, _ = angle_law_deviation(b)
     assert off < 1e-6  # all pairwise dots equal cos(0) = 1
 
@@ -100,7 +96,7 @@ def test_heterophily_h_zero_yields_orthogonal_vectors():
     g = random_connected_graph(30, 0.2, seed=6)
     op = propagation_operator(g)
     x = stream(6, "sig").standard_normal(30)
-    b = heterophily_basis(op, x, 8, 0.0)
+    b = make_basis(op, x, 8, "heterophily", h_hat=0.0)
     off, diag = angle_law_deviation(b)
     assert off < 1e-6 and diag < 1e-12
     np.testing.assert_allclose(b.matrices[0][:, 0], x / np.linalg.norm(x), atol=1e-15)
@@ -110,8 +106,8 @@ def test_new_direction_is_orthogonal_to_previous_outputs():
     g = random_connected_graph(40, 0.2, seed=8)
     op = propagation_operator(g)
     x = stream(8, "sig").standard_normal((40, 2))
-    u = heterophily_basis(op, x, 10, 0.4)
-    v = orthonormal_basis(op, x, 10)
+    u = make_basis(op, x, 10, "heterophily", h_hat=0.4)
+    v = make_basis(op, x, 10, "orthonormal")
     worst = 0.0
     for k in range(10):
         for j in range(k + 1):
@@ -124,9 +120,9 @@ def test_orthonormal_basis_gram_identity():
     g = random_connected_graph(60, 0.12, seed=9)
     op = propagation_operator(g)
     x = stream(9, "sig").standard_normal((60, 3))
-    plain = orthonormal_basis(op, x, 16)
+    plain = make_basis(op, x, 16, "orthonormal")
     assert orthonormality_deviation(plain) < 1e-6
-    tight = orthonormal_basis(op, x, 16, reortho=True)
+    tight = make_basis(op, x, 16, "orthonormal", reortho=True)
     assert orthonormality_deviation(tight) < 1e-10
 
 
@@ -137,7 +133,7 @@ def test_krylov_exhaustion_freezes_column():
     op = propagation_operator(g)
     x = np.ones((20, 1))
     with pytest.warns(UserWarning, match="exhaust"):
-        b = heterophily_basis(op, x, 4, 0.3)
+        b = make_basis(op, x, 4, "heterophily", h_hat=0.3)
     assert b.degenerate_columns == frozenset({0})
     for k in range(1, 5):
         np.testing.assert_allclose(b.matrices[k], b.matrices[0])
@@ -148,7 +144,7 @@ def test_zero_column_flagged_and_emitted_as_zeros():
     op = propagation_operator(g)
     X = stream(10, "sig").standard_normal((15, 3))
     X[:, 1] = 0.0
-    b = heterophily_basis(op, X, 5, 0.4)
+    b = make_basis(op, X, 5, "heterophily", h_hat=0.4)
     assert 1 in b.degenerate_columns
     assert np.all(b.matrices[:, :, 1] == 0.0)
     off, diag = angle_law_deviation(b)  # ignores the degenerate column
@@ -159,11 +155,11 @@ def test_unibasis_endpoint_identities():
     g = random_connected_graph(25, 0.2, seed=11)
     op = propagation_operator(g)
     X = stream(11, "sig").standard_normal((25, 2))
-    hom = homophily_basis(op, X, 6)
-    het = heterophily_basis(op, X, 6, 0.3)
-    assert np.array_equal(unibasis(op, X, 6, 0.3, 1.0).matrices, hom.matrices)
-    assert np.array_equal(unibasis(op, X, 6, 0.3, 0.0).matrices, het.matrices)
-    blend = unibasis(op, X, 6, 0.3, 0.4)
+    hom = make_basis(op, X, 6, "homophily")
+    het = make_basis(op, X, 6, "heterophily", h_hat=0.3)
+    assert np.array_equal(make_basis(op, X, 6, "uni", h_hat=0.3, tau=1.0).matrices, hom.matrices)
+    assert np.array_equal(make_basis(op, X, 6, "uni", h_hat=0.3, tau=0.0).matrices, het.matrices)
+    blend = make_basis(op, X, 6, "uni", h_hat=0.3, tau=0.4)
     np.testing.assert_allclose(
         blend.matrices, 0.4 * hom.matrices + 0.6 * het.matrices, atol=1e-15)
 
@@ -172,7 +168,7 @@ def test_unibasis_hop_zero_is_normalized_signal_for_any_tau():
     g = random_connected_graph(25, 0.2, seed=13)
     op = propagation_operator(g)
     x = stream(13, "sig").standard_normal((25, 1))
-    b = unibasis(op, x, 0, 0.7, 0.5)
+    b = make_basis(op, x, 0, "uni", h_hat=0.7, tau=0.5)
     np.testing.assert_allclose(b.matrices[0], x / np.linalg.norm(x), atol=1e-14)
 
 
@@ -180,35 +176,28 @@ def test_unibasis_rejects_bad_tau():
     g = random_connected_graph(10, 0.4, seed=14)
     op = propagation_operator(g)
     with pytest.raises(ValueError, match="tau"):
-        unibasis(op, np.ones((10, 1)), 2, 0.5, 1.5)
+        make_basis(op, np.ones((10, 1)), 2, "uni", h_hat=0.5, tau=1.5)
 
 
-@pytest.mark.parametrize("kind, named, recipe, theta, tau", [
-    ("homophily", lambda op, X, K: homophily_basis(op, X, K), {}, None, None),
-    ("homophily", lambda op, X, K: homophily_basis(op, X, K, normalize=False),
-     dict(normalize=False), None, None),
-    ("orthonormal", lambda op, X, K: orthonormal_basis(op, X, K), {}, None, None),
-    ("heterophily", lambda op, X, K: heterophily_basis(op, X, K, 0.3, reortho=True),
-     dict(h_hat=0.3, reortho=True), 0.35 * np.pi, None),
-    ("uni", lambda op, X, K: unibasis(op, X, K, 0.3, 0.0), dict(h_hat=0.3, tau=0.0),
-     0.35 * np.pi, 0.0),
-    ("uni", lambda op, X, K: unibasis(op, X, K, 0.3, 0.5), dict(h_hat=0.3, tau=0.5),
-     0.35 * np.pi, 0.5),
-    ("uni", lambda op, X, K: unibasis(op, X, K, 0.3, 1.0), dict(h_hat=0.3, tau=1.0),
-     0.35 * np.pi, 1.0),
+@pytest.mark.parametrize("kind, recipe, theta, tau, degenerate", [
+    ("homophily", {}, None, None, {1}),
+    ("homophily", dict(normalize=False), None, None, set()),
+    ("orthonormal", {}, None, None, {0, 1, 2, 3}),
+    ("heterophily", dict(h_hat=0.3, reortho=True), 0.35 * np.pi, None, {0, 1, 2, 3}),
+    ("uni", dict(h_hat=0.3, tau=0.0), 0.35 * np.pi, 0.0, {0, 1, 2, 3}),
+    ("uni", dict(h_hat=0.3, tau=0.5), 0.35 * np.pi, 0.5, {0, 1, 2, 3}),
+    ("uni", dict(h_hat=0.3, tau=1.0), 0.35 * np.pi, 1.0, {1}),
 ])
-def test_make_basis_is_every_named_constructor(kind, named, recipe, theta, tau):
+def test_make_basis_is_every_named_constructor(kind, recipe, theta, tau, degenerate):
     g, X, hops = _exhausting_signal()
     op = propagation_operator(g)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        b, ref = make_basis(op, X, hops, kind, **recipe), named(op, X, hops)
-    assert np.array_equal(b.matrices, ref.matrices)
-    assert (b.kind, b.hops, b.theta, b.tau) == (ref.kind, ref.hops, ref.theta, ref.tau)
+        b = make_basis(op, X, hops, kind, **recipe)
     assert (b.kind, b.hops, b.tau) == (kind, hops, tau)
     assert b.theta == (theta if theta is None else pytest.approx(theta))
-    assert b.degenerate_columns == ref.degenerate_columns
-    assert b.clamp_events == ref.clamp_events
+    assert b.degenerate_columns == frozenset(degenerate)
+    assert b.clamp_events == 0
 
 
 def test_make_basis_rejects_an_unknown_kind():
@@ -219,11 +208,26 @@ def test_make_basis_rejects_an_unknown_kind():
             build(op, np.ones((10, 1)), 2, "bogus")
 
 
+@pytest.mark.parametrize("kind, recipe, missing", [
+    ("heterophily", {}, "h_hat"),
+    ("uni", dict(tau=0.5), "h_hat"),
+    ("uni", dict(tau=1.0), "h_hat"),
+    ("uni", dict(h_hat=0.3), "tau"),
+])
+def test_builders_name_a_missing_recipe_argument(kind, recipe, missing):
+    g = random_connected_graph(10, 0.4, seed=14)
+    op = propagation_operator(g)
+    for build in (make_basis, walk_spectrum):
+        with pytest.raises(ValueError) as exc:
+            build(op, np.ones((10, 1)), 2, kind, **recipe)
+        assert str(exc.value) == f"kind {kind!r} needs {missing}", build.__name__
+
+
 def test_basis_spectrum_long_run_homophily_frequency_vanishes():
     g = random_connected_graph(60, 0.15, seed=15)
     op = propagation_operator(g)
     x = stream(15, "sig").standard_normal((60, 1))
-    b = homophily_basis(op, x, 100)
+    b = make_basis(op, x, 100, "homophily")
     spectrum = basis_spectrum(g, b)
     assert spectrum[100] < 0.01
 
@@ -232,7 +236,7 @@ def test_basis_spectrum_single_column_equals_signal_frequency():
     g = random_connected_graph(30, 0.2, seed=16)
     op = propagation_operator(g)
     x = stream(16, "sig").standard_normal((30, 1))
-    b = heterophily_basis(op, x, 5, 0.4)
+    b = make_basis(op, x, 5, "heterophily", h_hat=0.4)
     spectrum = basis_spectrum(g, b)
     for k in range(6):
         assert spectrum[k] == pytest.approx(
@@ -243,7 +247,7 @@ def test_basis_spectrum_heterophily_h_zero_in_bounds():
     g = random_connected_graph(30, 0.2, seed=17)
     op = propagation_operator(g)
     x = stream(17, "sig").standard_normal((30, 1))
-    b = heterophily_basis(op, x, 8, 0.0)
+    b = make_basis(op, x, 8, "heterophily", h_hat=0.0)
     spectrum = basis_spectrum(g, b)
     assert all(0.0 <= s <= 1.0 for s in spectrum)
     assert spectrum[0] == pytest.approx(signal_frequency(g, x), abs=1e-12)
@@ -252,7 +256,7 @@ def test_basis_spectrum_heterophily_h_zero_in_bounds():
 def test_basis_spectrum_rejects_all_degenerate():
     g = random_connected_graph(12, 0.3, seed=18)
     op = propagation_operator(g)
-    b = heterophily_basis(op, np.zeros((12, 1)), 3, 0.5)
+    b = make_basis(op, np.zeros((12, 1)), 3, "heterophily", h_hat=0.5)
     with pytest.raises(ValueError, match="degenerate"):
         basis_spectrum(g, b)
 
@@ -266,11 +270,11 @@ def test_angle_law_over_parameter_grid():
                 g = random_connected_graph(n, min(0.3, 8.0 / n + 0.05), seed=seed)
                 op = propagation_operator(g)
                 x = stream(seed, "grid-sig").standard_normal((n, 1))
-                b = heterophily_basis(op, x, hops, h)
+                b = make_basis(op, x, hops, "heterophily", h_hat=h)
                 off, diag = angle_law_deviation(b)
                 assert off < 1e-6, (n, hops, h)
                 assert diag < 1e-12, (n, hops, h)
-                v = orthonormal_basis(op, x, hops)
+                v = make_basis(op, x, hops, "orthonormal")
                 assert orthonormality_deviation(v) < 1e-6, (n, hops, h)
 
 
@@ -278,7 +282,7 @@ def test_export_basis_writes_matrices_and_meta(tmp_path):
     g = random_connected_graph(10, 0.4, seed=19)
     op = propagation_operator(g)
     x = stream(19, "sig").standard_normal((10, 2))
-    b = heterophily_basis(op, x, 3, 0.25)
+    b = make_basis(op, x, 3, "heterophily", h_hat=0.25)
     export_basis(b, tmp_path)
     import json
 
@@ -315,9 +319,11 @@ def test_unibasis_is_the_exact_blend_of_its_parts(kind, reortho, h_hat):
     g, X, hops = _exhausting_signal()
     op = propagation_operator(g, kind)
     tau = 0.4
-    hom, hom_warn = _recorded(homophily_basis, op, X, hops)
-    het, het_warn = _recorded(heterophily_basis, op, X, hops, h_hat, reortho=reortho)
-    uni, uni_warn = _recorded(unibasis, op, X, hops, h_hat, tau, reortho=reortho)
+    hom, hom_warn = _recorded(make_basis, op, X, hops, "homophily")
+    het, het_warn = _recorded(make_basis, op, X, hops, "heterophily", h_hat=h_hat,
+                              reortho=reortho)
+    uni, uni_warn = _recorded(make_basis, op, X, hops, "uni", h_hat=h_hat, tau=tau,
+                              reortho=reortho)
     assert np.array_equal(uni.matrices, tau * hom.matrices + (1.0 - tau) * het.matrices)
     assert uni.degenerate_columns == hom.degenerate_columns | het.degenerate_columns
     assert {1, 2} <= uni.degenerate_columns
@@ -327,13 +333,13 @@ def test_unibasis_is_the_exact_blend_of_its_parts(kind, reortho, h_hat):
 
 
 def _all_constructors(op, X, hops):
-    yield homophily_basis(op, X, hops)
-    yield homophily_basis(op, X, hops, normalize=False)
+    yield make_basis(op, X, hops, "homophily")
+    yield make_basis(op, X, hops, "homophily", normalize=False)
     for reortho in (False, True):
-        yield orthonormal_basis(op, X, hops, reortho=reortho)
-        yield heterophily_basis(op, X, hops, 0.3, reortho=reortho)
+        yield make_basis(op, X, hops, "orthonormal", reortho=reortho)
+        yield make_basis(op, X, hops, "heterophily", h_hat=0.3, reortho=reortho)
         for tau in (0.0, 0.6, 1.0):
-            yield unibasis(op, X, hops, 0.3, tau, reortho=reortho)
+            yield make_basis(op, X, hops, "uni", h_hat=0.3, tau=tau, reortho=reortho)
 
 
 def test_hop_prefix_property():
@@ -377,7 +383,7 @@ def test_unibasis_peak_memory_stays_near_its_result(monkeypatch):
     assert len(basis_module._blocks(2000, 600)) == 6
     tracemalloc.start()
     try:
-        b = unibasis(op, X, 10, 0.3, 0.5)
+        b = make_basis(op, X, 10, "uni", h_hat=0.3, tau=0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,9 +402,9 @@ def test_exhaustion_warning_names_the_callers_file():
     X[:, 1] = 1.0  # a fixed point of P: exhausts at hop 1
     cfg = model.TrainConfig(hops=4, basis="heterophily", h_hat=0.3)
     calls = {
-        "heterophily_basis": lambda: heterophily_basis(op, X, 4, 0.3),
-        "orthonormal_basis": lambda: orthonormal_basis(op, X, 4),
-        "unibasis": lambda: unibasis(op, X, 4, 0.3, 0.5),
+        "heterophily_basis": lambda: make_basis(op, X, 4, "heterophily", h_hat=0.3),
+        "orthonormal_basis": lambda: make_basis(op, X, 4, "orthonormal"),
+        "unibasis": lambda: make_basis(op, X, 4, "uni", h_hat=0.3, tau=0.5),
         "make_basis": lambda: make_basis(op, X, 4, "heterophily", h_hat=0.3),
         "walk_spectrum": lambda: walk_spectrum(op, X, 4, "heterophily", h_hat=0.3),
         "build_basis": lambda: model.build_basis(g, X, cfg),

@@ -114,3 +114,13 @@ def test_random_search_builds_one_basis_per_tau(dataset, builds):
         assert _same(report, train(dataset, cfg))
     first_best = max(range(len(results)), key=lambda i: (results[i][1].best_val_acc, -i))
     assert (best_cfg, best) == results[first_best]
+
+
+def test_counts_below_one_raise_before_any_run(dataset, builds):
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        random_search(dataset, BASE, trials=0)
+    with pytest.raises(ValueError, match=r"^num_seeds must be >= 1$"):
+        ablation_basis_variants(dataset, BASE, num_seeds=0)
+    with pytest.raises(ValueError, match=r"^num_seeds must be >= 1$"):
+        oversquashing_experiment(TreeSpec(depth=3, feature_dim=8), num_seeds=0)
+    assert builds == []

@@ -415,6 +415,24 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, least", [
+    ("train", "--search", -1, 0), ("splits", "--num-splits", 0, 1),
+    ("ablate", "--num-seeds", 0, 1), ("squash", "--num-seeds", 0, 1)])
+def test_count_flags_below_their_least_value_exit_two(toy_dir, tmp_path, command, flag, value,
+                                                      least):
+    out = tmp_path / "out"
+    args = {
+        "train": toy_train_args(toy_dir, out),
+        "splits": ["splits", "--nodes", 20, "--out-dir", out],
+        "ablate": ["ablate", *toy_data_args(toy_dir), "--out-dir", out],
+        "squash": ["squash", "--depth", 3, "--out-dir", out],
+    }[command]
+    proc = run_cli(*args, flag, value)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {flag[2:]} must be >= {least}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["basis", "train"])
 def test_warnings_print_as_one_line(toy_dir, tmp_path, command):
     if command == "basis":

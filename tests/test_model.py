@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from unifilter.basis import BasisTensor, unibasis
+from unifilter.basis import BasisTensor, make_basis
 from unifilter.graph import Graph, LabeledDataset, propagation_operator
 from unifilter.datasets import make_splits
 from unifilter.model import (
@@ -26,7 +26,7 @@ def small_basis(seed=0, n=20, d=3, hops=4, tau=0.6):
     g = random_connected_graph(n, 0.25, seed=seed)
     op = propagation_operator(g)
     X = stream(seed, "feat").standard_normal((n, d))
-    return g, unibasis(op, X, hops, 0.4, tau)
+    return g, make_basis(op, X, hops, "uni", h_hat=0.4, tau=tau)
 
 
 def toy_two_cluster(n_per=10, seed=0):
@@ -122,7 +122,7 @@ def test_loss_rejects_empty_mask():
 def _identity_head_model(onehot: np.ndarray, flip: bool = False) -> tuple[FilterModel, BasisTensor]:
     """Single-hop basis holding one-hot rows plus an identity (or swapped) head."""
     n, c = onehot.shape
-    basis = BasisTensor(kind="uni", hops=0, matrices=onehot[None].astype(float))
+    basis = BasisTensor(kind="uni", matrices=onehot[None].astype(float))
     W = np.eye(c)[:, ::-1].copy() if flip else np.eye(c)
     model = FilterModel(np.concatenate([np.ones(1), W.ravel(), np.zeros(c)]),
                         [(1,), (c, c), (c,)], dropout=0.0, num_classes=c)
@@ -160,7 +160,7 @@ def test_gradient_check_small_instances():
         g = random_connected_graph(25, 0.25, seed=40 + seed, bipartite_ok=True)
         op = propagation_operator(g)
         X = rng.standard_normal((g.n, 5))
-        basis = unibasis(op, X, 4, 0.4, 0.6)
+        basis = make_basis(op, X, 4, "uni", h_hat=0.4, tau=0.6)
         model = init_filter_model(4, 5, 8, 2, 3, 0.0, rng)
         model.w = model.w + 0.1 * rng.standard_normal(5)
         labels = rng.integers(0, 3, g.n)
