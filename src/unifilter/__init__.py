@@ -67,7 +67,6 @@ from .model import (
     train,
 )
 from .spectral import (
-    SpectrumReport,
     aligned_unit_signal,
     dense_eigen_oracle,
     dirichlet_energy,

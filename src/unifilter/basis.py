@@ -139,8 +139,6 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
     """
     health = _Health() if health is None else health
     if h_hat is not None:
-        if not 0.0 <= h_hat <= 1.0:
-            raise ValueError("h_hat must lie in [0, 1]")
         c = float(np.cos(0.5 * np.pi * (1.0 - h_hat)))
         krylov = True
     X = _as_columns(X)
@@ -211,6 +209,8 @@ def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
     options that produce those parts. Construction and `walk_spectrum` share it."""
     if kind in (HETEROPHILY, UNI) and h_hat is None:
         raise ValueError(f"kind {kind!r} needs h_hat")
+    if kind in (HETEROPHILY, UNI) and not 0.0 <= h_hat <= 1.0:
+        raise ValueError("h_hat must lie in [0, 1]")
     if kind == HOMOPHILY:
         return (lambda h, v, u: h), dict(diffuse=True, normalize=normalize)
     if kind == ORTHONORMAL:

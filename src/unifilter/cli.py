@@ -68,6 +68,14 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_table(path: Path, header: str, rows) -> None:
+    """Write a CSV table: the header line, one line per row with floats by repr
+    (so they read back exactly), and a final newline."""
+    lines = [header] + [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+                        for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _check_unit(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise UsageError(f"{name} must be in [0,1]")
@@ -109,7 +117,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _outdir(args)
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
-    report.write_curve_csv(out / "loss_curve.csv")
+    _write_table(out / "loss_curve.csv", "epoch,train_loss,val_acc", report.loss_curve)
     save_checkpoint(model, asdict(replace(cfg, h_hat=report.h_hat)), out / "checkpoint.json")
     print(f"h_hat={report.h_hat!r}")
     print(f"best_val_acc={report.best_val_acc!r}")
@@ -149,7 +157,6 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .model import TrainConfig, load_checkpoint, spectrum
-    from .spectral import SpectrumReport
 
     model, ckcfg = load_checkpoint(args.checkpoint)
     try:
@@ -164,11 +171,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise UsageError("checkpoint weight vector does not match its hop count")
     ds = _load_dataset_args(args)
     freqs = spectrum(ds.graph, ds.features, cfg)
-    report = SpectrumReport(
-        entries=[(k, freqs[k], float(model.w[k])) for k in range(cfg.hops + 1)],
-        kind=cfg.basis, dataset=args.dataset_name,
-    )
-    report.write_csv(_outdir(args) / "spectrum.csv")
+    _write_table(_outdir(args) / "spectrum.csv", "hop,frequency,weight",
+                 [(k, freqs[k], float(model.w[k])) for k in range(cfg.hops + 1)])
     print(f"rows={cfg.hops + 1}")
     return 0
 
@@ -227,6 +231,7 @@ def cmd_estimate_h(args: argparse.Namespace) -> int:
     labels = load_labels(args.labels)
     g = load_graph(args.edges, labels.shape[0])
     split = load_split(args.split)
+    split.validate(g.n)
     h_hat = estimate_homophily(g, labels, split.train)
     if args.out_dir is not None:
         (_outdir(args) / "h_hat.json").write_text(json.dumps({"h_hat": h_hat}),
@@ -246,12 +251,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                       seed=args.seed)
     table = ablation_basis_variants(ds, cfg, num_seeds=args.num_seeds,
                                     regime=args.regime)
-    out = _outdir(args)
-    lines = ["variant,mean_acc,gap_to_unifilter"]
-    for variant, mean in table["mean"].items():
-        gap = table["gap"].get(variant, 0.0)
-        lines.append(f"{variant},{mean!r},{gap!r}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(_outdir(args) / "ablation.csv", "variant,mean_acc,gap_to_unifilter",
+                 [(v, mean, table["gap"].get(v, 0.0)) for v, mean in table["mean"].items()])
     for variant, gap in table["gap"].items():
         print(f"gap_{variant}={gap!r}")
     return 0
@@ -265,11 +266,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     for t in tau_grid:
         _check_unit(t, "tau-grid entry")
     rows = energy_trajectory(ds, tau_grid, args.k_max, h_hat=args.hom_ratio)
-    out = _outdir(args)
-    lines = ["tau,k,energy"]
-    for tau, k, e in rows:
-        lines.append(f"{tau!r},{k},{e!r}")
-    (out / "energy.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(_outdir(args) / "energy.csv", "tau,k,energy", rows)
     print(f"rows={len(rows)}")
     return 0
 
@@ -282,12 +279,9 @@ def cmd_squash(args: argparse.Namespace) -> int:
         TreeSpec(depth=args.depth, feature_dim=args.feature_dim,
                  num_classes=args.classes, seed=args.seed),
         k_grid=k_grid, num_seeds=args.num_seeds)
-    out = _outdir(args)
-    lines = ["model,k,mean_acc"]
-    for model, per_k in table["mean"].items():
-        for k, acc in per_k.items():
-            lines.append(f"{model},{k},{acc!r}")
-    (out / "squash.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(_outdir(args) / "squash.csv", "model,k,mean_acc",
+                 [(model, k, acc) for model, per_k in table["mean"].items()
+                  for k, acc in per_k.items()])
     for model, per_k in table["mean"].items():
         accs = [per_k[k] for k in k_grid]
         print(f"spread_{model}={max(accs) - min(accs)!r}")
@@ -351,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="per-hop frequency/weight report for a checkpoint")
     add_files(p, "checkpoint", "edges", "features", "labels")
     p.add_argument("--hops", type=int, default=None)
-    p.add_argument("--dataset-name", default="")
     add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ORTHONORMAL, UNI, _blend, _walk
+from .basis import ORTHONORMAL, UNI, _blend, _recipe, _walk
 from .graph import Graph, LabeledDataset, Split, homophily_ratio, propagation_operator
 from .model import TrainConfig, train_runs
 from .rng import stream, substream_seed
 from .spectral import dirichlet_energy
 
 REGIMES = {"60/20/20": (0.6, 0.2), "48/32/20": (0.48, 0.32)}
+# The taus UniFilter chooses from in the basis-variant ablation.
+ABLATION_TAU_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass
@@ -234,7 +236,6 @@ VARIANTS = ("HetFilter", "HomFilter", "OrtFilter", "UniFilter")
 def ablation_basis_variants(
     dataset: LabeledDataset,
     cfg: TrainConfig,
-    tau_grid: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
     num_seeds: int = 5,
     regime: str = "60/20/20",
 ) -> dict:
@@ -258,10 +259,10 @@ def ablation_basis_variants(
         het, hom, ort, *grid = train_runs(ds, [
             replace(run, basis=UNI, tau=0.0), replace(run, basis=UNI, tau=1.0),
             replace(run, basis=ORTHONORMAL),
-            *(replace(run, basis=UNI, tau=float(tau)) for tau in tau_grid)])
+            *(replace(run, basis=UNI, tau=float(tau)) for tau in ABLATION_TAU_GRID)])
         for variant, rep in (("HetFilter", het), ("HomFilter", hom), ("OrtFilter", ort)):
             accs[variant].append(rep.test_acc)
-        tau, best = max(zip(tau_grid, grid), key=lambda pair: pair[1].best_val_acc)
+        tau, best = max(zip(ABLATION_TAU_GRID, grid), key=lambda pair: pair[1].best_val_acc)
         chosen_tau.append(float(tau))
         accs["UniFilter"].append(best.test_acc)
     means = {v: float(np.mean(accs[v])) for v in VARIANTS}
@@ -274,7 +275,6 @@ def energy_trajectory(
     tau_grid: tuple[float, ...],
     k_max: int,
     h_hat: float | None = None,
-    self_loops: bool = False,
 ) -> list[tuple[float, int, float]]:
     """Dirichlet energy of the blended hop matrices, per tau and hop.
 
@@ -288,7 +288,9 @@ def energy_trajectory(
     g = dataset.graph
     if h_hat is None:
         h_hat = homophily_ratio(g, dataset.labels)
-    op = propagation_operator(g, "self-loops" if self_loops else "no-self-loops")
+    for tau in tau_grid:
+        _recipe(UNI, h_hat=h_hat, tau=tau)  # each blend's checks on h_hat and tau
+    op = propagation_operator(g)
     energies: list[list[float]] = [[] for _ in tau_grid]
     for _, _, h, _, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat,
                                full_width=True):

@@ -241,9 +241,10 @@ def estimate_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) -> 
 def _train_edge_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) -> float | None:
     """`estimate_homophily` without its fallback: None when no edge qualifies."""
     labels = np.asarray(labels)
-    mask = _as_bool_mask(train_mask, g.n)
-    if not mask.any():
+    if np.size(train_mask) == 0:
         raise ValueError("train mask is empty")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[_mask_indices(train_mask, g.n)] = True
     e = g.edge_array()
     keep = mask[e[:, 0]] & mask[e[:, 1]]
     total = int(np.count_nonzero(keep))
@@ -253,15 +254,17 @@ def _train_edge_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) 
     return same / total
 
 
-def _as_bool_mask(mask: np.ndarray, n: int) -> np.ndarray:
+def _mask_indices(mask: np.ndarray, n: int) -> np.ndarray:
+    """The node ids of `mask`, an integer index array, as int64; raises if it
+    is empty, holds anything but integers, or holds an id outside [0, n)."""
     mask = np.asarray(mask)
-    if mask.dtype == bool:
-        if mask.shape[0] != n:
-            raise ValueError("boolean mask length mismatch")
-        return mask
-    out = np.zeros(n, dtype=bool)
-    out[mask.astype(np.int64)] = True
-    return out
+    if mask.size == 0:
+        raise ValueError("empty mask")
+    if mask.dtype.kind not in "iu":
+        raise ValueError(f"mask must be an integer index array, not {mask.dtype}")
+    if mask.min() < 0 or mask.max() >= n:
+        raise ValueError("mask index out of range")
+    return mask.astype(np.int64)
 
 
 @dataclass
@@ -300,11 +303,18 @@ class Split:
         if missing:
             raise ValueError("split must hold 'train', 'val' and 'test' index lists; "
                              f"missing {', '.join(map(repr, missing))}")
-        return cls(
-            train=np.asarray(d["train"], dtype=np.int64),
-            val=np.asarray(d["val"], dtype=np.int64),
-            test=np.asarray(d["test"], dtype=np.int64),
-        )
+        for k in ("train", "val", "test"):
+            # bool is a subclass of int; JSON true must not read as node 1.
+            if not isinstance(d[k], list) or any(type(i) is not int for i in d[k]):
+                raise ValueError(f"split {k!r} must be a list of integer node ids")
+        try:
+            return cls(
+                train=np.asarray(d["train"], dtype=np.int64),
+                val=np.asarray(d["val"], dtype=np.int64),
+                test=np.asarray(d["test"], dtype=np.int64),
+            )
+        except OverflowError:  # an id beyond int64
+            raise ValueError("split index out of range") from None
 
 
 @dataclass
@@ -372,13 +382,11 @@ def load_dataset(
     feature_file: str | Path,
     label_file: str | Path,
     split_file: str | Path | None = None,
-    num_classes: int | None = None,
 ) -> LabeledDataset:
     labels = load_labels(label_file)
     n = labels.shape[0]
     g = load_graph(edge_file, n)
     X = load_features(feature_file)
     split = load_split(split_file) if split_file is not None else None
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    return LabeledDataset(graph=g, features=X, labels=labels, split=split, num_classes=num_classes)
+    return LabeledDataset(graph=g, features=X, labels=labels, split=split,
+                          num_classes=int(labels.max()) + 1)

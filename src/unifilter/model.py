@@ -18,12 +18,13 @@ import numpy as np
 
 from .basis import HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, make_basis, walk_spectrum
 from .graph import (FALLBACK_HOMOPHILY, NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset,
-                    _train_edge_homophily, propagation_operator)
+                    _mask_indices, _train_edge_homophily, propagation_operator)
 from .rng import stream
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRADIENT_CHECK_STEP = 1e-5
 
 # Search ranges used for hyperparameter tuning.
 SEARCH_SPACE = {
@@ -98,12 +99,10 @@ class FilterModel:
     given, not a copy, and assigning to `w` writes into it.
     """
 
-    def __init__(self, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float,
-                 num_classes: int):
+    def __init__(self, params: np.ndarray, shapes: list[tuple[int, ...]], dropout: float):
         self.params, self._shapes = params, list(shapes)
         self._w, self.weights, self.biases = self.unflatten(params)
         self.dropout = dropout
-        self.num_classes = num_classes
 
     @property
     def w(self) -> np.ndarray:
@@ -138,7 +137,7 @@ def init_filter_model(
     shapes = [(hops + 1,)] + [s for din, dout in zip(dims[:-1], dims[1:])
                               for s in ((din, dout), (dout,))]
     # Allocated first and filled in place, as `_checkpoint_model` does.
-    model = FilterModel(np.zeros(sum(map(math.prod, shapes))), shapes, dropout, num_classes)
+    model = FilterModel(np.zeros(sum(map(math.prod, shapes))), shapes, dropout)
     model.w = 1.0 / (hops + 1)
     for W in model.weights:
         bound = 1.0 / np.sqrt(W.shape[0])
@@ -193,16 +192,6 @@ def forward(
     """Logits for every node; softmax lives inside the loss only."""
     logits, _ = _forward_pass(model, combine_hops(model, basis), training, rng)
     return logits
-
-
-def _mask_indices(mask: np.ndarray, n: int) -> np.ndarray:
-    mask = np.asarray(mask)
-    idx = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.int64)
-    if idx.size == 0:
-        raise ValueError("empty mask")
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValueError("mask index out of range")
-    return idx
 
 
 class _Grad:
@@ -280,8 +269,8 @@ def evaluate(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: n
     return float(np.mean(pred == np.asarray(labels)[idx]))
 
 
-def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: np.ndarray,
-                   step: float = 1e-5) -> float:
+def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
+                   mask: np.ndarray) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error uses |a - n| / max(|a| + |n|, 1e-6). Dropout is
@@ -293,12 +282,12 @@ def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray, m
     worst = 0.0
     for i in range(theta.size):
         orig = theta[i]
-        theta[i] = orig + step
+        theta[i] = orig + GRADIENT_CHECK_STEP
         up = loss(forward(model, basis), labels, idx)
-        theta[i] = orig - step
+        theta[i] = orig - GRADIENT_CHECK_STEP
         down = loss(forward(model, basis), labels, idx)
         theta[i] = orig
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
         worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-6))
     return worst
 
@@ -367,12 +356,6 @@ class TrainReport:
             "h_hat_fallback": self.h_hat_fallback,
             "epochs_run": self.epochs_run,
         }
-
-    def write_curve_csv(self, path: str | Path) -> None:
-        lines = ["epoch,train_loss,val_acc"]
-        for epoch, tl, va in self.loss_curve:
-            lines.append(f"{epoch},{tl!r},{va!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _basis_args(cfg: TrainConfig) -> tuple[str, dict]:
@@ -558,7 +541,7 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
                          sum(map(len, values)))
     if not np.isfinite(params).all():
         raise ValueError("checkpoint holds a non-finite value")
-    return FilterModel(params, shapes, float(cfg.get("dropout", 0.0)), cols), cfg
+    return FilterModel(params, shapes, float(cfg.get("dropout", 0.0))), cfg
 
 
 def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainReport]:

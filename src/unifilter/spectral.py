@@ -7,18 +7,17 @@ diagnostics only; the node cap guards against accidental O(n^3) use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .graph import Graph, PropagationOperator, propagation_operator
 from .rng import stream
 
 DEFAULT_EIGEN_CAP = 500
+FREQUENCY_TOL = 1e-12
+REGULAR_MAX_RESTARTS = 500
 
 
-def signal_frequency(g: Graph, x: np.ndarray, op: PropagationOperator | None = None) -> float:
+def signal_frequency(g: Graph, x: np.ndarray) -> float:
     """Frequency of signal x: quadratic form of the normalized Laplacian, halved.
 
     x is unit-normalized internally. 0 means perfectly smooth, 1 maximally
@@ -30,10 +29,8 @@ def signal_frequency(g: Graph, x: np.ndarray, op: PropagationOperator | None = N
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise ValueError("zero signal")
-    if op is None:
-        op = propagation_operator(g)
     xn = x / nrm
-    return _clamp_unit(0.5 * (1.0 - float(xn @ op.apply(xn))))
+    return _clamp_unit(0.5 * (1.0 - float(xn @ propagation_operator(g).apply(xn))))
 
 
 def matrix_frequencies(op: PropagationOperator, M: np.ndarray) -> np.ndarray:
@@ -56,14 +53,14 @@ def matrix_frequencies(op: PropagationOperator, M: np.ndarray) -> np.ndarray:
     return out[:1] if lone else out
 
 
-def _clamp_unit(val: float, tol: float = 1e-12) -> float:
+def _clamp_unit(val: float) -> float:
     # Only floating noise may leave [0, 1]; anything larger is a bug.
     if val < 0.0:
-        if val < -tol:
+        if val < -FREQUENCY_TOL:
             raise ValueError(f"frequency {val} below 0 beyond tolerance")
         return 0.0
     if val > 1.0:
-        if val > 1.0 + tol:
+        if val > 1.0 + FREQUENCY_TOL:
             raise ValueError(f"frequency {val} above 1 beyond tolerance")
         return 1.0
     return float(val)
@@ -121,7 +118,7 @@ def expected_frequency_regular(n: int, alignment: float) -> float:
     return n * max(0.0, 1.0 - a * a) / (2.0 * (n - 1))
 
 
-def sample_regular_graph(n: int, degree: int, rng: np.random.Generator, max_restarts: int = 500) -> Graph:
+def sample_regular_graph(n: int, degree: int, rng: np.random.Generator) -> Graph:
     """Sample a simple `degree`-regular graph by random stub pairing.
 
     Pairs stubs uniformly at random, rejecting self-loops and multi-edges;
@@ -133,11 +130,11 @@ def sample_regular_graph(n: int, degree: int, rng: np.random.Generator, max_rest
         raise ValueError("degree must satisfy 1 <= degree < n")
     if (n * degree) % 2:
         raise ValueError("n * degree must be even")
-    for _ in range(max_restarts):
+    for _ in range(REGULAR_MAX_RESTARTS):
         edges = _pair_stubs(n, degree, rng)
         if edges is not None:
             return Graph.from_edges(edges, n)
-    raise RuntimeError(f"no simple {degree}-regular graph after {max_restarts} restarts")
+    raise RuntimeError(f"no simple {degree}-regular graph after {REGULAR_MAX_RESTARTS} restarts")
 
 
 def _pair_stubs(n: int, degree: int, rng: np.random.Generator) -> np.ndarray | None:
@@ -201,36 +198,3 @@ def mc_expected_frequency(
             sums[i] += np.sum(d * d) / (2.0 * degree)
     return sums / num_graphs
 
-
-@dataclass
-class SpectrumReport:
-    """Per-hop (frequency, learned weight) pairs averaged over feature columns."""
-
-    entries: list[tuple[int, float, float]]
-    kind: str
-    dataset: str = ""
-
-    def __post_init__(self) -> None:
-        hops = [e[0] for e in self.entries]
-        if hops != list(range(len(hops))):
-            raise ValueError("entries must cover hops 0..K in order")
-        for _, freq, _ in self.entries:
-            if not (0.0 <= freq <= 1.0):
-                raise ValueError(f"frequency {freq} outside [0, 1]")
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["hop,frequency,weight"]
-        for hop, freq, weight in self.entries:
-            lines.append(f"{hop},{freq!r},{weight!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def read_csv(cls, path: str | Path, kind: str = "", dataset: str = "") -> "SpectrumReport":
-        rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-        if not rows or rows[0] != "hop,frequency,weight":
-            raise ValueError("not a spectrum CSV")
-        entries = []
-        for row in rows[1:]:
-            h, f, w = row.split(",")
-            entries.append((int(h), float(f), float(w)))
-        return cls(entries=entries, kind=kind, dataset=dataset)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, two_node_edge
+from conftest import path_graph, random_connected_graph, two_node_edge
 from unifilter import basis as basis_module
 from unifilter.basis import (
     angle_law_deviation,
@@ -221,6 +221,16 @@ def test_builders_name_a_missing_recipe_argument(kind, recipe, missing):
         with pytest.raises(ValueError) as exc:
             build(op, np.ones((10, 1)), 2, kind, **recipe)
         assert str(exc.value) == f"kind {kind!r} needs {missing}", build.__name__
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+@pytest.mark.parametrize("h_hat", [5.0, -0.1])
+def test_builders_reject_h_hat_outside_the_unit_interval(h_hat, tau):
+    # At tau=1 no heterophily recurrence runs, so the walk never reads h_hat.
+    op = propagation_operator(path_graph(4))
+    for build in (make_basis, walk_spectrum):
+        with pytest.raises(ValueError, match=r"^h_hat must lie in \[0, 1\]$"):
+            build(op, np.eye(4)[:, :2], 2, "uni", h_hat=h_hat, tau=tau)
 
 
 def test_basis_spectrum_long_run_homophily_frequency_vanishes():

@@ -400,6 +400,59 @@ def test_estimate_h_rejects_an_empty_labels_file(toy_dir, tmp_path):
     assert proc.stderr == f"error: no labels in {empty}\n"
 
 
+def path_split_args(tmp_path, train_ids):
+    """Input flags for the path 0-1-2-3 with four labels and two features, and
+    a split whose train list is `train_ids`, written as JSON."""
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "labels.txt").write_text("0\n0\n1\n1\n")
+    (tmp_path / "features.csv").write_text("1,0\n1,0\n0,1\n0,1\n")
+    (tmp_path / "split.json").write_text(json.dumps({"train": train_ids, "val": [2],
+                                                     "test": [3]}))
+    return {flag: tmp_path / name for flag, name in (
+        ("--edges", "edges.txt"), ("--labels", "labels.txt"),
+        ("--features", "features.csv"), ("--split", "split.json"))}
+
+
+def run_on_path(command, files, out):
+    if command == "estimate-h":
+        files = {k: v for k, v in files.items() if k != "--features"}
+    return run_cli(command, *(x for item in files.items() for x in item), "--out-dir", out)
+
+
+@pytest.mark.parametrize("train_ids", [[0, 1, 9], [-1, 0, 1], [0, 10**20]])
+def test_estimate_h_rejects_split_ids_outside_the_graph(tmp_path, train_ids):
+    proc = run_on_path("estimate-h", path_split_args(tmp_path, train_ids), tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: split index out of range\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("train_ids", [[0.9, 1.2], [True, 0], ["1", 0]])
+@pytest.mark.parametrize("command", ["train", "estimate-h"])
+def test_split_ids_must_be_json_integers(tmp_path, command, train_ids):
+    proc = run_on_path(command, path_split_args(tmp_path, train_ids), tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: split 'train' must be a list of integer node ids\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_flag_defaults_are_the_train_config_defaults():
+    from dataclasses import fields
+
+    from unifilter.cli import build_parser
+
+    args = build_parser().parse_args(["train", "--edges", "e", "--features", "f",
+                                      "--labels", "l", "--split", "s", "--out-dir", "o"])
+    # Each TrainConfig field and the `train` flag that feeds it (cmd_train).
+    feeds = {f.name: f.name for f in fields(TrainConfig)}
+    feeds["h_hat"] = "hom_ratio"
+    defaults = TrainConfig()
+    for field, flag in feeds.items():
+        assert getattr(args, flag) == getattr(defaults, field), (field, flag)
+
+
 @pytest.mark.parametrize("command", ["train", "basis", "energy"])
 def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, command):
     out = tmp_path / "out"

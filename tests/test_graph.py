@@ -11,6 +11,7 @@ from unifilter.graph import (
     load_graph,
     propagation_operator,
 )
+from unifilter.model import loss
 from unifilter.rng import stream
 
 
@@ -122,6 +123,16 @@ def test_estimate_homophily_full_mask_equals_ratio(rng):
     labels = rng.integers(0, 3, 30)
     full = np.arange(30)
     assert estimate_homophily(g, labels, full) == homophily_ratio(g, labels)
+
+
+def test_node_sets_are_integer_index_arrays():
+    # A bool array is not read as a mask, nor as the node ids 0 and 1.
+    g = triangle()
+    for ids in (np.array([True, True, False]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="mask must be an integer index array"):
+            estimate_homophily(g, np.array([0, 0, 1]), ids)
+        with pytest.raises(ValueError, match="mask must be an integer index array"):
+            loss(np.zeros((3, 2)), np.zeros(3, dtype=int), ids)
 
 
 def test_estimate_homophily_fallback():

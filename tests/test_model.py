@@ -125,7 +125,7 @@ def _identity_head_model(onehot: np.ndarray, flip: bool = False) -> tuple[Filter
     basis = BasisTensor(kind="uni", matrices=onehot[None].astype(float))
     W = np.eye(c)[:, ::-1].copy() if flip else np.eye(c)
     model = FilterModel(np.concatenate([np.ones(1), W.ravel(), np.zeros(c)]),
-                        [(1,), (c, c), (c,)], dropout=0.0, num_classes=c)
+                        [(1,), (c, c), (c,)], dropout=0.0)
     return model, basis
 
 

@@ -5,7 +5,6 @@ from conftest import random_connected_graph, triangle, two_node_edge
 from unifilter.graph import propagation_operator
 from unifilter.rng import stream
 from unifilter.spectral import (
-    SpectrumReport,
     aligned_unit_signal,
     dense_eigen_oracle,
     dirichlet_energy,
@@ -178,22 +177,6 @@ def test_mc_frequency_matches_exchangeable_expectation():
     means = mc_expected_frequency(n, t, alignments, num_graphs=800, seed=1)
     expected = n * (1.0 - alignments**2) / (2.0 * (n - 1))
     np.testing.assert_allclose(means, expected, atol=0.01)
-
-
-def test_spectrum_report_roundtrip(tmp_path):
-    rep = SpectrumReport(entries=[(0, 0.1, 0.5), (1, 0.9, -0.25)], kind="uni", dataset="toy")
-    path = tmp_path / "spectrum.csv"
-    rep.write_csv(path)
-    back = SpectrumReport.read_csv(path, kind="uni", dataset="toy")
-    assert back.entries == rep.entries
-    assert path.read_text().splitlines()[0] == "hop,frequency,weight"
-
-
-def test_spectrum_report_validates_shape():
-    with pytest.raises(ValueError):
-        SpectrumReport(entries=[(1, 0.1, 0.0)], kind="uni")
-    with pytest.raises(ValueError):
-        SpectrumReport(entries=[(0, 1.5, 0.0)], kind="uni")
 
 
 def _frozen_matrix_frequencies(op, M):
