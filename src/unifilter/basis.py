@@ -3,8 +3,9 @@
 Every kind is per-column independent: column j of every hop matrix
 depends only on column j of the input. Construction therefore streams: one
 walker runs the recurrences hop by hop over blocks of columns, and each hop
-is written straight into the preallocated (K+1, n, d) result, so the peak
-memory is the result plus a few block-sized arrays.
+is written straight into a preallocated result, hop-major (K+1, n, d) for
+`make_basis` or node-major (rows, K+1, d) for training, so the peak memory
+is the result plus a few block-sized arrays.
 """
 
 from __future__ import annotations
@@ -267,6 +268,22 @@ def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
                        tau=tau if kind == UNI else None,
                        degenerate_columns=frozenset(health.degenerate),
                        clamp_events=health.clamps)
+
+
+def _node_major_basis(op: PropagationOperator, X: np.ndarray, rows: np.ndarray, hops: int,
+                      kind: str, **recipe) -> np.ndarray:
+    """`make_basis(op, X, hops, kind, **recipe).matrices.transpose(1, 0, 2)[rows]`,
+    bit for bit, with no hop-major buffer: the basis node-major, as
+    (len(rows), K+1, d), holding the rows `rows` in that order. Every node
+    still shapes the basis through propagation; the rows left out are only
+    not held."""
+    mix, recurrences = _recipe(kind, **recipe)
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    out = np.empty((len(rows), hops + 1, _as_columns(X).shape[1]), dtype=np.float64)
+    for k, cols, h, v, u in _walk(op, X, hops, **recurrences):
+        out[:, k, cols] = mix(h, v, u)[rows]
+    return out
 
 
 def update_factor(s_dot_u: np.ndarray, k: int, cos_theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -373,8 +373,13 @@ def load_labels(path: str | Path) -> np.ndarray:
 
 
 def load_split(path: str | Path) -> Split:
+    """The split in the JSON file `path`; a file that is not JSON raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return Split.from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+    return Split.from_dict(payload)
 
 
 def load_dataset(

@@ -4,6 +4,10 @@ The basis is precomputed once and frozen; only the hop weight vector and
 the MLP parameters train. Everything is plain numpy with hand-written
 gradients so runs are bit-reproducible for a fixed seed and the analytic
 gradients can be checked against central finite differences.
+
+Training holds its basis node-major, as (rows, K+1, d), with the rows in
+split order: train, then val, then test. Each group of scored rows is then
+one contiguous slab, and an epoch touches only the rows it scores.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, make_basis, walk_spectrum
+from .basis import (HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, _node_major_basis,
+                    make_basis, walk_spectrum)
 from .graph import (FALLBACK_HOMOPHILY, NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset,
                     _mask_indices, _train_edge_homophily, propagation_operator)
 from .rng import stream
@@ -158,6 +163,12 @@ def combine_hops(model: FilterModel, basis: BasisTensor) -> np.ndarray:
     return np.dot(model.w.reshape(1, -1), M.reshape(M.shape[0], -1)).reshape(M.shape[1:])
 
 
+def _combine(model: FilterModel, N: np.ndarray) -> np.ndarray:
+    """`combine_hops` over a node-major (rows, K+1, d) slab: the hop weights
+    times each row's (K+1, d) matrix."""
+    return np.matmul(model.w, N)
+
+
 def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
                   rng: np.random.Generator | None):
     """Logits from the combined hops `z`, plus what the backward pass reads: each
@@ -203,62 +214,74 @@ class _Grad:
         self.w, self.weights, self.biases = model.unflatten(self.vec)
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray,
+def _cross_entropy(logits: np.ndarray, y: np.ndarray,
                    grad: bool = True) -> tuple[float, np.ndarray | None]:
-    """Mean negative log-softmax of the true class over rows `idx`, and its
-    gradient with respect to those rows' logits (None unless `grad`)."""
-    sub = logits[idx]
-    sub = sub - sub.max(axis=1, keepdims=True)
+    """Mean negative log-softmax of the true classes `y` over the rows of
+    `logits`, and its gradient with respect to those logits (None unless `grad`)."""
+    sub = logits - logits.max(axis=1, keepdims=True)
     expv = np.exp(sub)
     total = expv.sum(axis=1, keepdims=True)
-    rows, y = np.arange(idx.size), np.asarray(labels)[idx]
+    rows = np.arange(y.size)
     # The sum, then one division: the two steps of np.mean.
-    value = float((np.log(total[:, 0]) - sub[rows, y]).sum() / idx.size)
+    value = float((np.log(total[:, 0]) - sub[rows, y]).sum() / y.size)
     if not grad:
         return value, None
     delta = expv / total
     delta[rows, y] -= 1.0
-    delta /= idx.size
+    delta /= y.size
     return value, delta
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     """Mean negative log-softmax of the true class over the masked nodes."""
-    return _cross_entropy(logits, labels, _mask_indices(mask, logits.shape[0]), grad=False)[0]
+    idx = _mask_indices(mask, logits.shape[0])
+    return _cross_entropy(logits[idx], np.asarray(labels)[idx], grad=False)[0]
 
 
-def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray, idx: np.ndarray,
-                    training: bool = False,
-                    rng: np.random.Generator | None = None) -> tuple[float, np.ndarray]:
-    """Loss over node indices `idx` and its gradient, laid out like `model.params`."""
-    grad = _Grad(model)
-    value = _backward(model, basis, labels, idx, grad,
-                      *_forward_pass(model, combine_hops(model, basis), training, rng))
-    return value, grad.vec
-
-
-def _backward(model: FilterModel, basis: BasisTensor, labels: np.ndarray, idx: np.ndarray,
-              grad: _Grad, logits: np.ndarray, cache) -> float:
-    """The loss over rows `idx` from a forward pass already made (its logits
-    and cache); its gradient is written into `grad.vec`."""
+def _backward(model: FilterModel, N: np.ndarray, y: np.ndarray, grad: _Grad,
+              logits: np.ndarray, cache) -> float:
+    """The loss over the first `y.size` rows of a forward pass already made
+    over the node-major slab N (its logits and cache), whose labels are `y`.
+    Its gradient is written into `grad.vec`. The cache is read through row
+    views and the hop-weight gradient runs over N[:y.size], so rows after
+    those cost nothing here."""
+    r = y.size
     inputs, masks, pre = cache
-    value, delta = _cross_entropy(logits, labels, idx)
-    gout = np.zeros_like(logits)
-    gout[idx] = delta
-    # Freed at once: the peak memory falls in the layer loop below.
-    del delta
+    value, gout = _cross_entropy(logits[:r], y)
     for i in range(len(model.weights) - 1, -1, -1):
-        grad.weights[i][...] = inputs[i].T @ gout
+        grad.weights[i][...] = inputs[i][:r].T @ gout
         grad.biases[i][...] = gout.sum(axis=0)
         gin = gout @ model.weights[i].T
         if masks[i] is not None:
-            gin = gin * masks[i]
+            gin *= masks[i][:r]
         if i > 0:
-            gout = gin * (pre[i - 1] > 0.0)
-    # The (K+1, n*d) @ (n*d, 1) product `np.tensordot(M, gin, axes=([1, 2], [0, 1]))` makes.
-    M = basis.matrices
-    grad.w[...] = np.dot(M.reshape(M.shape[0], -1), gin.reshape(-1, 1)).reshape(-1)
+            gout = gin * (pre[i - 1][:r] > 0.0)
+    # Each row's (K+1, d) matrix times its d-vector, summed over the rows.
+    grad.w[...] = np.matmul(N[:r], gin[:, :, None]).sum(axis=0)[:, 0]
     return value
+
+
+def _slab_loss(model: FilterModel, N: np.ndarray, y: np.ndarray) -> float:
+    """The loss over the node-major slab N, whose labels are `y`, as `train` computes it."""
+    return _cross_entropy(_forward_pass(model, _combine(model, N), False, None)[0], y,
+                          grad=False)[0]
+
+
+def _rows(basis: BasisTensor, labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows `mask` of `basis` as a node-major slab, and their labels."""
+    idx = _mask_indices(mask, basis.n)
+    return basis.matrices.transpose(1, 0, 2)[idx], np.asarray(labels)[idx]
+
+
+def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
+                    mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss over the nodes `mask` and its gradient, laid out like `model.params`.
+    The rows are gathered into a slab and run through `train`'s forward and
+    backward passes."""
+    N, y = _rows(basis, labels, mask)
+    grad = _Grad(model)
+    value = _backward(model, N, y, grad, *_forward_pass(model, _combine(model, N), False, None))
+    return value, grad.vec
 
 
 def evaluate(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -273,19 +296,20 @@ def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
                    mask: np.ndarray) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Relative error uses |a - n| / max(|a| + |n|, 1e-6). Dropout is
-    disabled; weight decay is an optimizer concern and excluded here.
+    Relative error uses |a - n| / max(|a| + |n|, 1e-6). Both sides run the
+    arithmetic of `train` on the rows `mask` gathered into a slab. Dropout
+    is disabled; weight decay is an optimizer concern and excluded here.
     """
-    idx = _mask_indices(mask, basis.matrices.shape[1])
-    _, analytic = _loss_and_grads(model, basis, labels, idx)
+    _, analytic = _loss_and_grads(model, basis, labels, mask)
+    N, y = _rows(basis, labels, mask)
     theta = model.params
     worst = 0.0
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + GRADIENT_CHECK_STEP
-        up = loss(forward(model, basis), labels, idx)
+        up = _slab_loss(model, N, y)
         theta[i] = orig - GRADIENT_CHECK_STEP
-        down = loss(forward(model, basis), labels, idx)
+        down = _slab_loss(model, N, y)
         theta[i] = orig
         numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
         worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-6))
@@ -373,6 +397,23 @@ def build_basis(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> BasisTensor:
     return make_basis(propagation_operator(graph, kind), X, **args)
 
 
+def _split_parts(dataset: LabeledDataset) -> list[np.ndarray]:
+    """The train, val and test node ids of `dataset`'s split."""
+    split = dataset.split
+    return [_mask_indices(m, dataset.graph.n) for m in (split.train, split.val, split.test)]
+
+
+def _training_basis(dataset: LabeledDataset, cfg: TrainConfig) -> np.ndarray:
+    """`build_basis(graph, features, cfg).matrices.transpose(1, 0, 2)[rows]`, bit
+    for bit, built as that: the basis `train` reads, node-major (rows, K+1, d)
+    with the rows in split order (train, then val, then test). Nodes in no
+    split list still shape the basis through propagation; their rows are
+    only not held."""
+    kind, args = _basis_args(cfg)
+    return _node_major_basis(propagation_operator(dataset.graph, kind), dataset.features,
+                             np.concatenate(_split_parts(dataset)), **args)
+
+
 def spectrum(graph: Graph, X: np.ndarray, cfg: TrainConfig) -> list[float]:
     """`basis_spectrum(graph, build_basis(graph, X, cfg))`, bit for bit, streamed
     hop block by hop block: memory does not grow with the hop count."""
@@ -398,7 +439,7 @@ def _run_h_hat(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[float, bool]:
 def train(
     dataset: LabeledDataset,
     cfg: TrainConfig,
-    basis: BasisTensor | None = None,
+    basis: np.ndarray | None = None,
     return_model: bool = False,
 ):
     """Adam training with early stopping on validation accuracy.
@@ -407,17 +448,24 @@ def train(
     overridden in the config). Ties in validation accuracy are broken by
     lower validation loss. Fully deterministic for a fixed seed. With
     `return_model` the report comes paired with the restored best model.
+    `basis` is the training basis, as `_training_basis` builds it (or a
+    hop-prefix view of one, `[:, :hops + 1]`); by default it is built here.
     """
     h_hat, fallback = _run_h_hat(dataset, cfg)
-    split, labels = dataset.split, dataset.labels
-    tidx, vidx = (_mask_indices(m, dataset.graph.n) for m in (split.train, split.val))
+    parts = _split_parts(dataset)
+    ntr, nscored = parts[0].size, parts[0].size + parts[1].size
+    y = dataset.labels[np.concatenate(parts)]
+    ytr, yva = y[:ntr], y[ntr:nscored]
     if basis is None:
-        basis = build_basis(dataset.graph, dataset.features, replace(cfg, h_hat=h_hat))
+        basis = _training_basis(dataset, replace(cfg, h_hat=h_hat))
+    want = (y.size, cfg.hops + 1, dataset.features.shape[1])
+    if basis.shape != want:
+        raise ValueError(f"training basis has shape {basis.shape}, expected {want}")
 
     rng_init = stream(cfg.seed, "init")
     rng_drop = stream(cfg.seed, "dropout")
     model = init_filter_model(
-        cfg.hops, basis.columns, cfg.hidden, cfg.layers,
+        cfg.hops, basis.shape[2], cfg.hidden, cfg.layers,
         dataset.num_classes, cfg.dropout, rng_init,
     )
     opt = _Adam(model.params.size, cfg.lr, cfg.weight_decay)
@@ -431,28 +479,30 @@ def train(
     # A non-finite training loss is raised naming its epoch; numpy's overflow
     # warnings on the way there would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # One pass over the basis per epoch: the validation pass after each step
-        # runs at the next epoch's parameters. Without dropout it is that epoch's
-        # training pass; dropout draws new masks, so then only z is shared. Each
+        # One pass over the train and val rows per epoch: the validation pass
+        # after each step runs at the next epoch's parameters, and without
+        # dropout its train rows are that epoch's training pass. Dropout draws
+        # new masks, over the train rows only, so then only z is shared. Each
         # pass is freed before the next one is made.
-        z, ahead = combine_hops(model, basis), None
+        z, ahead = _combine(model, basis[:nscored]), None
         for epoch in range(1, cfg.max_epochs + 1):
-            if ahead is None or model.dropout > 0.0:
-                ahead = _forward_pass(model, z, True, rng_drop)
+            if model.dropout > 0.0:
+                ahead = _forward_pass(model, z[:ntr], True, rng_drop)
+            elif ahead is None:
+                ahead = _forward_pass(model, z, False, None)
             z = None
-            train_loss = _backward(model, basis, labels, tidx, grad, *ahead)
+            train_loss = _backward(model, basis, ytr, grad, *ahead)
             ahead = None
             if not np.isfinite(train_loss):
                 raise RuntimeError(f"training loss is not finite at epoch {epoch}")
             opt.step(model.params, grad.vec)
 
-            z = combine_hops(model, basis)
+            z = _combine(model, basis[:nscored])
             ahead = _forward_pass(model, z, False, None)
-            val_logits = ahead[0]
+            val_logits = ahead[0][ntr:]
             # The count over the size: the sum and the division np.mean makes.
-            hits = np.count_nonzero(np.argmax(val_logits[vidx], axis=1) == labels[vidx])
-            val_acc = float(hits / vidx.size)
-            val_loss = _cross_entropy(val_logits, labels, vidx, grad=False)[0]
+            val_acc = float(np.count_nonzero(np.argmax(val_logits, axis=1) == yva) / yva.size)
+            val_loss = _cross_entropy(val_logits, yva, grad=False)[0]
             curve.append((epoch, train_loss, val_acc))
 
             improved_acc = val_acc > best_acc
@@ -470,11 +520,12 @@ def train(
         z = ahead = val_logits = None  # the test pass needs none of them
 
     np.copyto(model.params, best_params)
-    test_acc = evaluate(model, basis, labels, split.test)
+    # The test rows, read once.
+    test_logits = _forward_pass(model, _combine(model, basis[nscored:]), False, None)[0]
     report = TrainReport(
         best_val_acc=best_acc,
         best_epoch=best_epoch,
-        test_acc=test_acc,
+        test_acc=float(np.mean(np.argmax(test_logits, axis=1) == y[nscored:])),
         loss_curve=curve,
         w=model.w.copy(),
         h_hat=float(h_hat),
@@ -550,10 +601,10 @@ def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainRe
 
     Configs with equal basis recipes name one basis up to its hop count, and
     a basis at K holds the one at k <= K as its hops 0..k (the hop-prefix
-    property). So each such group builds its basis once, at its largest hop
-    count, and each run trains on the first hops+1 of it. Groups run one
-    after another, so one basis is alive at a time. A shorter view keeps the
-    health fields of the build it views, which `train` does not read.
+    property). So each such group builds its training basis once, at its
+    largest hop count, and each run trains on the view of its first hops+1,
+    `[:, :hops + 1]`. Groups run one after another, so one basis is alive at
+    a time.
     """
     resolved = [replace(cfg, h_hat=_run_h_hat(dataset, cfg)[0]) for cfg in cfgs]
     groups: dict[tuple, list[int]] = {}
@@ -562,13 +613,10 @@ def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainRe
         groups.setdefault((kind, *args.items()), []).append(i)
     reports: list[TrainReport] = [None] * len(cfgs)  # type: ignore[list-item]
     for members in groups.values():
-        built = build_basis(dataset.graph, dataset.features,
-                            resolved[max(members, key=lambda i: cfgs[i].hops)])
+        built = _training_basis(dataset, resolved[max(members, key=lambda i: cfgs[i].hops)])
         for i in members:
-            k = cfgs[i].hops
-            view = replace(built, matrices=built.matrices[:k + 1])
-            reports[i] = train(dataset, cfgs[i], basis=view)
-        del built, view  # before the next group's build
+            reports[i] = train(dataset, cfgs[i], basis=built[:, :cfgs[i].hops + 1])
+        del built  # before the next group's build
     return reports
 
 

@@ -1,7 +1,13 @@
-"""The hop-prefix property, over random hop counts: a basis built at K holds
-the one built at k <= K as its hops 0..k, bit for bit, for every kind. The
-experiment harnesses rely on it (`model.train_runs` trains a run at k on a
-view of the build at K), so the view they hand to `train` is checked too."""
+"""The hop-prefix property and the training layout, over random hop counts.
+
+A basis built at K holds the one built at k <= K as its hops 0..k, bit for
+bit, for every kind. The experiment harnesses rely on it: `model.train_runs`
+builds the training basis once at K, node-major with the rows in split
+order, and trains a run at k on its view `[:, :k+1]`. So what they hand to
+`train` must hold the hop-major build's values at the split's rows, bit for
+bit, and the loss and gradient over those rows must be the all-rows
+computation's up to rounding.
+"""
 
 import warnings
 from dataclasses import replace
@@ -15,11 +21,11 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import random_connected_graph  # noqa: E402
+from test_fused_training import _loss_and_grads as all_rows_loss_and_grads  # noqa: E402
 from unifilter import model as model_module  # noqa: E402
 from unifilter.basis import make_basis  # noqa: E402
-from unifilter.datasets import make_splits  # noqa: E402
-from unifilter.graph import LabeledDataset, propagation_operator  # noqa: E402
-from unifilter.model import TrainConfig, train_runs  # noqa: E402
+from unifilter.graph import LabeledDataset, Split, propagation_operator  # noqa: E402
+from unifilter.model import TrainConfig, _loss_and_grads, init_filter_model, train_runs  # noqa: E402
 from unifilter.rng import stream  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -46,21 +52,36 @@ def cases(draw):
             draw(st.integers(0, 2**16)))
 
 
-@SETTINGS
-@given(cases())
-def test_a_build_at_k_is_the_first_hops_of_the_build_at_K(case):
-    (kind, recipe), k, K, seed = case
+def _signal(seed: int):
+    """A 24-node graph and four columns: random, zero, and one that exhausts at hop 1."""
     g = random_connected_graph(24, 0.2, seed=seed % 64)
     X = stream(seed, "prefix-sig").standard_normal((24, 4))
     X[:, 1] = 0.0
     X[:, 2] = np.sqrt(g.degrees)  # a fixed direction of P: exhausts at hop 1
+    return g, X
+
+
+def _partial_split(seed: int) -> Split:
+    """Disjoint train, val and test lists in random order; some nodes are in none."""
+    perm = stream(seed, "prefix-split").permutation(24)
+    ntr, nva, nte = 1 + seed % 10, 1 + seed % 5, 1 + seed % 7
+    return Split(train=perm[:ntr], val=perm[ntr:ntr + nva], test=perm[ntr + nva:ntr + nva + nte])
+
+
+@SETTINGS
+@given(cases())
+def test_a_build_at_k_is_the_first_hops_of_the_build_at_K(case):
+    (kind, recipe), k, K, seed = case
+    g, X = _signal(seed)
     op = propagation_operator(g)
+    split = _partial_split(seed)
+    rows = np.concatenate([split.train, split.val, split.test])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         short = make_basis(op, X, k, kind, **recipe)
         built = make_basis(op, X, K, kind, **recipe)
-        ds = LabeledDataset(graph=g, features=X, labels=np.arange(24) % 2,
-                            split=make_splits(24, "60/20/20", 1, seed)[0], num_classes=2)
+        ds = LabeledDataset(graph=g, features=X, labels=np.arange(24) % 2, split=split,
+                            num_classes=2)
         seen = {}
         with mock.patch.object(model_module, "train",
                                lambda dataset, cfg, basis: seen.setdefault(cfg.hops, basis)):
@@ -68,6 +89,27 @@ def test_a_build_at_k_is_the_first_hops_of_the_build_at_K(case):
             train_runs(ds, [replace(cfg, hops=k), cfg])
     assert short.hops == k
     assert np.array_equal(short.matrices, built.matrices[:k + 1])
+    # The training basis, and the run at k's view of it, hold the hop-major
+    # values at the split's rows, in split order; unlisted rows are not held.
     for hops, want in ((k, short), (K, built)):
-        assert seen[hops].hops == hops
-        assert np.array_equal(seen[hops].matrices, want.matrices)
+        assert seen[hops].shape == (rows.size, hops + 1, X.shape[1])
+        assert np.array_equal(seen[hops], want.matrices.transpose(1, 0, 2)[rows])
+
+
+@SETTINGS
+@given(cases(), st.integers(2, 4), st.integers(2, 3))
+def test_slab_loss_and_gradient_equal_the_all_rows_computation(case, layers, classes):
+    (kind, recipe), _, K, seed = case
+    g, X = _signal(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        basis = make_basis(propagation_operator(g), X, K, kind, **recipe)
+    rng = stream(seed, "slab-model")
+    model = init_filter_model(K, X.shape[1], 8, layers, classes, 0.0, rng)
+    model.w = model.w + 0.3 * rng.standard_normal(K + 1)
+    labels = rng.integers(0, classes, 24)
+    idx = _partial_split(seed).train
+    got_loss, got = _loss_and_grads(model, basis, labels, idx)
+    want_loss, want = all_rows_loss_and_grads(model, basis, labels, idx)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -12,22 +12,22 @@ from unifilter.basis import ORTHONORMAL, UNI
 from unifilter.datasets import (TreeSpec, ablation_basis_variants, make_splits,
                                 one_hot_features, oversquashing_experiment,
                                 planted_homophily_graph)
-from unifilter.graph import LabeledDataset
+from unifilter.graph import LabeledDataset, Split
 from unifilter.model import TrainConfig, random_search, train, train_runs
 from unifilter.rng import stream, substream_seed
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The (hops, tau, basis kind) of every basis build, whoever asks for it."""
+    """The (hops, tau, basis kind) of every training basis build, whoever asks for it."""
     seen = []
-    build = model_module.build_basis
+    build = model_module._training_basis
 
-    def counted(graph, X, cfg):
+    def counted(dataset, cfg):
         seen.append((cfg.hops, cfg.tau, cfg.basis))
-        return build(graph, X, cfg)
+        return build(dataset, cfg)
 
-    monkeypatch.setattr(model_module, "build_basis", counted)
+    monkeypatch.setattr(model_module, "_training_basis", counted)
     return seen
 
 
@@ -65,6 +65,29 @@ def test_train_runs_equals_one_train_per_config(dataset, builds):
     want = [train(dataset, cfg) for cfg in cfgs]
     assert len(builds) == len(cfgs)
     assert all(_same(a, b) for a, b in zip(got, want))
+
+
+def test_train_runs_holds_only_the_rows_of_a_partial_split(dataset, monkeypatch):
+    # The split lists 54 of the 90 nodes (60%); the other 36 still shape the
+    # basis through propagation, but no row of theirs is held.
+    perm = stream(41, "partial-split").permutation(90)
+    ds = replace(dataset, split=Split(train=perm[:32], val=perm[32:43], test=perm[43:54]))
+    shapes = []
+    build = model_module._training_basis
+
+    def recorded(d, cfg):
+        built = build(d, cfg)
+        shapes.append(built.shape)
+        return built
+
+    monkeypatch.setattr(model_module, "_training_basis", recorded)
+    cfgs = [replace(BASE, hops=3), BASE]
+    got = train_runs(ds, cfgs)
+    assert shapes == [(54, BASE.hops + 1, 12)]
+    for cfg, report in zip(cfgs, got):
+        assert len(report.loss_curve) == report.epochs_run >= 1
+        assert np.isfinite([loss for _, loss, _ in report.loss_curve]).all()
+        assert _same(report, train(ds, cfg))
 
 
 def test_train_runs_checks_the_split_first(dataset):

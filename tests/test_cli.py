@@ -438,6 +438,19 @@ def test_split_ids_must_be_json_integers(tmp_path, command, train_ids):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "estimate-h"])
+def test_malformed_split_file_names_its_path(tmp_path, command):
+    files = path_split_args(tmp_path, [0, 1])
+    files["--split"].write_text('{"train": [0')
+    proc = run_on_path(command, files, tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {files['--split']}: Expecting ',' delimiter: "
+                           "line 1 column 13 (char 12)\n")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_flag_defaults_are_the_train_config_defaults():
     from dataclasses import fields
 

@@ -1,13 +1,20 @@
-"""`train` and the squash harness against frozen copies of the code they replaced.
+"""`train` and the squash harness against frozen copies of the epoch arithmetic.
 
-Everything below the `Frozen` line is a verbatim copy of the earlier epoch
-arithmetic, and it calls nothing of it from the package: the `tensordot` hop
-contractions, the cross-entropy through `np.mean`, the allocating Adam step,
-the two-pass loop (a training forward and backward pass, an Adam step, then a
-validation forward pass, every epoch) and `oversquashing_experiment` with one
-basis build per run. `train` makes one pass over the basis per epoch, reuses
-its buffers, and the harness builds each basis once; results must be equal
-bit for bit.
+Two frozen blocks below call nothing of the epoch arithmetic from the package.
+
+- The all-rows block is a verbatim copy of the earlier code: the `tensordot`
+  hop contractions over all n rows, the cross-entropy through `np.mean`, the
+  allocating Adam step, the two-pass loop (a training forward and backward
+  pass, an Adam step, then a validation forward pass, every epoch) and
+  `oversquashing_experiment` with one basis build per run. `train` now sums
+  over the scored rows only, so it meets this block to 1e-12 in the loss and
+  gradient at equal parameters, and the squash tables without dropout stay
+  equal bit for bit.
+- The slab block is the same two-pass loop on the split-ordered node-major
+  basis: a combine over the train and val rows, the backward pass over the
+  train rows, dropout masks over the train rows, and one test pass. `train`
+  makes one pass per epoch and reuses its buffers; results must be equal to
+  this block bit for bit.
 """
 
 from dataclasses import replace
@@ -202,7 +209,7 @@ def _two_pass_train(dataset, cfg, basis=None, return_model=False):
 
 
 def _per_run_oversquashing(spec, k_grid=(3, 4, 5, 6, 7), num_seeds=5, cfg=None,
-                           tau_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
+                           tau_grid=(0.1, 0.3, 0.5, 0.7, 0.9), trainer=_two_pass_train):
     if cfg is None:
         cfg = TrainConfig(hidden=32, layers=2, lr=0.05, dropout=0.0,
                           patience=50, max_epochs=300)
@@ -216,11 +223,11 @@ def _per_run_oversquashing(spec, k_grid=(3, 4, 5, 6, 7), num_seeds=5, cfg=None,
         run_seed = substream_seed(spec.seed, "squash-run", s)
         for k in k_grid:
             acc["homophily-only"][k].append(
-                _two_pass_train(ds, replace(cfg, hops=int(k), seed=run_seed,
-                                            basis=UNI, tau=1.0)).test_acc)
+                trainer(ds, replace(cfg, hops=int(k), seed=run_seed,
+                                    basis=UNI, tau=1.0)).test_acc)
         runs = {
-            tau: [_two_pass_train(ds, replace(cfg, hops=int(k), seed=run_seed,
-                                              basis=UNI, tau=float(tau)))
+            tau: [trainer(ds, replace(cfg, hops=int(k), seed=run_seed,
+                                      basis=UNI, tau=float(tau)))
                   for k in k_grid]
             for tau in tau_grid
         }
@@ -235,7 +242,120 @@ def _per_run_oversquashing(spec, k_grid=(3, 4, 5, 6, 7), num_seeds=5, cfg=None,
     }
     return {"acc": acc, "mean": means, "tau": chosen_tau}
 
-# --- End of the frozen copies. -------------------------------------------------
+# --- End of the frozen all-rows copies. ----------------------------------------
+
+# --- Frozen: the split-ordered slab arithmetic; do not edit. -----------------
+
+
+def _slab_cross_entropy(logits, y, grad=True):
+    sub = logits - logits.max(axis=1, keepdims=True)
+    expv = np.exp(sub)
+    total = expv.sum(axis=1, keepdims=True)
+    rows = np.arange(y.size)
+    value = float((np.log(total[:, 0]) - sub[rows, y]).sum() / y.size)
+    if not grad:
+        return value
+    delta = expv / total
+    delta[rows, y] -= 1.0
+    delta /= y.size
+    return value, delta
+
+
+def _slab_backward(model, N, y, logits, cache):
+    r = y.size
+    inputs, masks, pre = cache
+    value, gout = _slab_cross_entropy(logits[:r], y)
+    grad = np.empty_like(model.params)
+    gw, gW, gb = model.unflatten(grad)
+    for i in range(len(model.weights) - 1, -1, -1):
+        gW[i][...] = inputs[i][:r].T @ gout
+        gb[i][...] = gout.sum(axis=0)
+        gin = gout @ model.weights[i].T
+        if masks[i] is not None:
+            gin = gin * masks[i][:r]
+        if i > 0:
+            gout = gin * (pre[i - 1][:r] > 0.0)
+    gw[...] = np.matmul(N[:r], gin[:, :, None]).sum(axis=0)[:, 0]
+    return value, grad
+
+
+def _slab_two_pass_train(dataset, cfg, basis=None, return_model=False):
+    split = dataset.split
+    split.check_nonempty()
+    parts = [_mask_indices(m, dataset.graph.n) for m in (split.train, split.val, split.test)]
+    rows = np.concatenate(parts)
+    ntr, nscored = parts[0].size, parts[0].size + parts[1].size
+    y = dataset.labels[rows]
+
+    h_hat = cfg.h_hat
+    if h_hat is None:
+        h_hat = _train_edge_homophily(dataset.graph, dataset.labels, split.train)
+    fallback = h_hat is None
+    if fallback:
+        h_hat = FALLBACK_HOMOPHILY
+    if basis is None:
+        basis = build_basis(dataset.graph, dataset.features,
+                            replace(cfg, h_hat=h_hat)).matrices.transpose(1, 0, 2)[rows]
+
+    rng_init = stream(cfg.seed, "init")
+    rng_drop = stream(cfg.seed, "dropout")
+    model = init_filter_model(
+        cfg.hops, basis.shape[2], cfg.hidden, cfg.layers,
+        dataset.num_classes, cfg.dropout, rng_init,
+    )
+    opt = _Adam(model.params.size, cfg.lr, cfg.weight_decay)
+
+    best_acc, best_loss, best_epoch = -1.0, np.inf, -1
+    best_params = model.params.copy()
+    curve = []
+    since_best = 0
+    epoch = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            z = np.matmul(model.w, basis[:nscored])
+            if model.dropout > 0.0:
+                z = z[:ntr]
+            train_loss, grad = _slab_backward(model, basis, y[:ntr],
+                                              *_forward_pass(model, z, True, rng_drop))
+            if not np.isfinite(train_loss):
+                raise RuntimeError(f"training loss is not finite at epoch {epoch}")
+            opt.step(model.params, grad)
+
+            val_logits = _forward_pass(model, np.matmul(model.w, basis[:nscored]),
+                                       False, None)[0][ntr:]
+            yva = y[ntr:nscored]
+            val_acc = float(np.count_nonzero(np.argmax(val_logits, axis=1) == yva) / yva.size)
+            val_loss = _slab_cross_entropy(val_logits, yva, grad=False)
+            curve.append((epoch, train_loss, val_acc))
+
+            improved_acc = val_acc > best_acc
+            if improved_acc or (val_acc == best_acc and val_loss < best_loss):
+                best_acc, best_loss, best_epoch = val_acc, val_loss, epoch
+                np.copyto(best_params, model.params)
+            if improved_acc:
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+
+    np.copyto(model.params, best_params)
+    test_logits = _forward_pass(model, np.matmul(model.w, basis[nscored:]), False, None)[0]
+    report = TrainReport(
+        best_val_acc=best_acc,
+        best_epoch=best_epoch,
+        test_acc=float(np.mean(np.argmax(test_logits, axis=1) == y[nscored:])),
+        loss_curve=curve,
+        w=model.w.copy(),
+        h_hat=float(h_hat),
+        h_hat_fallback=fallback,
+        epochs_run=epoch,
+    )
+    if return_model:
+        return report, model
+    return report
+
+# --- End of the frozen slab copies. --------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -260,14 +380,23 @@ CASES = {
 }
 
 
+def _training_basis(dataset, cfg):
+    """The split-ordered node-major basis of `cfg`, gathered from the hop-major
+    build, and that build."""
+    built = build_basis(dataset.graph, dataset.features,
+                        replace(cfg, h_hat=_train_edge_homophily(
+                            dataset.graph, dataset.labels, dataset.split.train)))
+    split = dataset.split
+    return built.matrices.transpose(1, 0, 2)[np.concatenate(
+        [split.train, split.val, split.test])], built
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_pass_loop_equals_the_two_pass_loop(dataset, case):
     cfg = CASES[case]
-    basis = build_basis(dataset.graph, dataset.features,
-                        replace(cfg, h_hat=_train_edge_homophily(
-                            dataset.graph, dataset.labels, dataset.split.train)))
+    basis, _ = _training_basis(dataset, cfg)
     got, got_model = train(dataset, cfg, basis=basis, return_model=True)
-    want, want_model = _two_pass_train(dataset, cfg, basis=basis, return_model=True)
+    want, want_model = _slab_two_pass_train(dataset, cfg, basis=basis, return_model=True)
     # repr, as the loss-curve file writes them: equal values of another type differ.
     assert repr(got.loss_curve) == repr(want.loss_curve)
     assert (got.best_epoch, got.best_val_acc, got.test_acc, got.epochs_run) == \
@@ -278,29 +407,49 @@ def test_one_pass_loop_equals_the_two_pass_loop(dataset, case):
         assert got.epochs_run < cfg.max_epochs
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_train_row_loss_and_gradient_equal_the_all_rows_computation(dataset, case):
+    cfg = CASES[case]
+    _, built = _training_basis(dataset, cfg)
+    tidx = dataset.split.train
+    _, trained = train(dataset, cfg, return_model=True)
+    initial = init_filter_model(cfg.hops, built.columns, cfg.hidden, cfg.layers,
+                                dataset.num_classes, cfg.dropout, stream(cfg.seed, "init"))
+    for model in (initial, trained):
+        got_loss, got = model_module._loss_and_grads(model, built, dataset.labels, tidx)
+        want_loss, want = _loss_and_grads(model, built, dataset.labels, tidx)
+        assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_one_pass_over_the_basis_per_epoch(dataset, monkeypatch, dropout):
     combines = []
-    combine = model_module.combine_hops
-    monkeypatch.setattr(model_module, "combine_hops",
-                        lambda *a: combines.append(1) or combine(*a))
+    combine = model_module._combine
+    monkeypatch.setattr(model_module, "_combine",
+                        lambda model, N: combines.append(N.shape[0]) or combine(model, N))
     passes = []
     forward_pass = model_module._forward_pass
     monkeypatch.setattr(model_module, "_forward_pass",
-                        lambda *a: passes.append(1) or forward_pass(*a))
+                        lambda model, z, *a: passes.append(z.shape[0]) or forward_pass(model, z, *a))
     report = train(dataset, replace(BASE, dropout=dropout, max_epochs=25))
     epochs = report.epochs_run
     assert epochs == 25
-    # The first epoch's pass, one per epoch after its step, and the test pass.
-    assert len(combines) == epochs + 2
-    # Without dropout the whole pass is shared; with it only the combined hops.
-    assert len(passes) == (epochs + 2 if dropout == 0.0 else 2 * epochs + 1)
+    split = dataset.split
+    ntr, nscored, nte = split.train.size, split.train.size + split.val.size, split.test.size
+    # The first epoch's pass and one per epoch after its step, over the train
+    # and val rows, then the test pass over the test rows.
+    assert combines == [nscored] * (epochs + 1) + [nte]
+    # Without dropout the whole pass is shared; with it only the combined
+    # hops, and each training pass runs over the train rows.
+    if dropout == 0.0:
+        assert passes == [nscored] * (epochs + 1) + [nte]
+    else:
+        assert passes == [ntr, nscored] * epochs + [nte]
 
 
 SQUASH_CFGS = {
     "default": None,
-    "dropout-weight-decay": TrainConfig(hidden=16, layers=3, lr=0.05, dropout=0.5,
-                                        weight_decay=5e-4, patience=50, max_epochs=80),
     "early-stop": TrainConfig(hidden=8, layers=2, lr=0.2, weight_decay=1e-3,
                               patience=3, max_epochs=200),
 }
@@ -311,6 +460,17 @@ def test_squash_table_equals_the_per_run_build_harness(case):
     spec = TreeSpec(depth=4, feature_dim=16, seed=3)
     kwargs = dict(k_grid=(2, 3, 5), num_seeds=2, cfg=SQUASH_CFGS[case])
     assert oversquashing_experiment(spec, **kwargs) == _per_run_oversquashing(spec, **kwargs)
+
+
+def test_dropout_squash_table_equals_the_per_run_slab_harness():
+    # Dropout masks now cover the train rows only, so the draws differ from
+    # the all-rows loop's; the slab loop draws the same ones.
+    spec = TreeSpec(depth=4, feature_dim=16, seed=3)
+    kwargs = dict(k_grid=(2, 3, 5), num_seeds=2,
+                  cfg=TrainConfig(hidden=16, layers=3, lr=0.05, dropout=0.5,
+                                  weight_decay=5e-4, patience=50, max_epochs=80))
+    assert oversquashing_experiment(spec, **kwargs) == \
+        _per_run_oversquashing(spec, trainer=_slab_two_pass_train, **kwargs)
 
 
 def test_depth_4_squash_table_equals_the_per_run_build_harness():
