@@ -1,11 +1,11 @@
 """Polynomial signal bases: homophily, orthonormal auxiliary, adaptive heterophily, blended.
 
 Every kind is per-column independent: column j of every hop matrix
-depends only on column j of the input. Construction therefore streams: one
+depends only on column j of the input (to rounding: numpy's column
+reductions depend on the array's width). Construction therefore streams: one
 walker runs the recurrences hop by hop over blocks of columns, and each hop
-is written straight into a preallocated result, hop-major (K+1, n, d) for
-`make_basis` or node-major (rows, K+1, d) for training, so the peak memory
-is the result plus a few block-sized arrays.
+is written straight into one preallocated node-major (rows, K+1, d) result,
+so the peak memory is the result plus a few block-sized arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 @dataclass
 class BasisTensor:
-    """K+1 hop matrices (each n x d) tagged with their construction recipe.
+    """K+1 hop matrices (each n x d), held node-major as one (n, K+1, d)
+    array, tagged with their construction recipe. Hop k is `matrices[:, k]`
+    and the hop-prefix view at k is `matrices[:, :k + 1]`.
 
     `degenerate_columns` lists columns where construction degenerated:
     zero input columns, or columns whose Krylov subspace was exhausted
@@ -58,11 +60,11 @@ class BasisTensor:
 
     @property
     def hops(self) -> int:
-        return self.matrices.shape[0] - 1
+        return self.matrices.shape[1] - 1
 
     @property
     def n(self) -> int:
-        return self.matrices.shape[1]
+        return self.matrices.shape[0]
 
     @property
     def columns(self) -> int:
@@ -233,7 +235,7 @@ def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
                h_hat: float | None = None, tau: float | None = None, reortho: bool = False,
                normalize: bool = True) -> BasisTensor:
     """The basis of `kind` over X at hops 0..K: X is walked once and each hop
-    is written into one (K+1, n, d) buffer. `theta` = (1 - h_hat) * pi/2 is
+    is written into one (n, K+1, d) buffer. `theta` = (1 - h_hat) * pi/2 is
     set for heterophily and uni, `tau` for uni only. A zero input column
     gives zeros at every hop.
 
@@ -254,14 +256,9 @@ def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
       bases above. tau=1 is the homophily basis bit for bit and skips the
       heterophily recurrences; tau=0 is the heterophily basis unchanged.
     """
-    mix, recurrences = _recipe(kind, h_hat=h_hat, tau=tau, reortho=reortho, normalize=normalize)
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    X = _as_columns(X)
-    out = np.empty((hops + 1, *X.shape), dtype=np.float64)
     health = _Health()
-    for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
-        out[k, :, cols] = mix(h, v, u)
+    out = _node_major_basis(op, X, slice(None), hops, kind, health, h_hat=h_hat, tau=tau,
+                            reortho=reortho, normalize=normalize)
     angled = kind in (HETEROPHILY, UNI)
     return BasisTensor(kind=kind, matrices=out,
                        theta=0.5 * np.pi * (1.0 - h_hat) if angled else None,
@@ -270,18 +267,19 @@ def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
                        clamp_events=health.clamps)
 
 
-def _node_major_basis(op: PropagationOperator, X: np.ndarray, rows: np.ndarray, hops: int,
-                      kind: str, **recipe) -> np.ndarray:
-    """`make_basis(op, X, hops, kind, **recipe).matrices.transpose(1, 0, 2)[rows]`,
-    bit for bit, with no hop-major buffer: the basis node-major, as
-    (len(rows), K+1, d), holding the rows `rows` in that order. Every node
-    still shapes the basis through propagation; the rows left out are only
-    not held."""
+def _node_major_basis(op: PropagationOperator, X: np.ndarray, rows: np.ndarray | slice,
+                      hops: int, kind: str, health: _Health | None = None,
+                      **recipe) -> np.ndarray:
+    """The basis of `kind` over X, node-major as (rows, K+1, d), holding the
+    rows `rows` in that order: `make_basis(...).matrices[rows]` bit for bit.
+    Every node still shapes the basis through propagation; the rows left out
+    are only not held. What the walk met accumulates in `health`."""
     mix, recurrences = _recipe(kind, **recipe)
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    out = np.empty((len(rows), hops + 1, _as_columns(X).shape[1]), dtype=np.float64)
-    for k, cols, h, v, u in _walk(op, X, hops, **recurrences):
+    X = _as_columns(X)
+    out = np.empty((np.arange(X.shape[0])[rows].size, hops + 1, X.shape[1]), dtype=np.float64)
+    for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
         out[:, k, cols] = mix(h, v, u)[rows]
     return out
 
@@ -332,7 +330,7 @@ def basis_spectrum(g: Graph, b: BasisTensor) -> list[float]:
         raise ValueError("basis was not constructed on this graph")
     keep = _usable(b.columns, b.degenerate_columns)
     op = propagation_operator(g)
-    freqs = np.array([_block_frequencies(op, M, keep) for M in b.matrices])
+    freqs = np.array([_block_frequencies(op, b.matrices[:, k], keep) for k in range(b.hops + 1)])
     return _mean_frequencies(freqs, keep)
 
 
@@ -362,7 +360,7 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
 def pairwise_hop_gram(b: BasisTensor) -> np.ndarray:
     """Gram matrices between hop vectors, one (K+1 x K+1) slab per column."""
     M = b.matrices
-    return np.einsum("knd,jnd->kjd", M, M)
+    return np.einsum("nkd,njd->kjd", M, M)
 
 
 def angle_law_deviation(b: BasisTensor) -> tuple[float, float]:
@@ -396,7 +394,7 @@ def export_basis(b: BasisTensor, outdir: str | Path) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(b.hops + 1):
-        np.savetxt(outdir / f"hop_{k}.csv", b.matrices[k], delimiter=",", fmt="%.17g")
+        np.savetxt(outdir / f"hop_{k}.csv", b.matrices[:, k], delimiter=",", fmt="%.17g")
     meta = {
         "kind": b.kind,
         "K": b.hops,

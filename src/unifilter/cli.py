@@ -161,7 +161,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     model, ckcfg = load_checkpoint(args.checkpoint)
     try:
         cfg = TrainConfig(**ckcfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{args.checkpoint}: bad config: {exc}") from None
     if cfg.h_hat is None:
         raise ValueError(f"{args.checkpoint}: config has no h_hat")

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ValueError("hops must be >= 0")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
+        if self.h_hat is not None and not 0.0 <= self.h_hat <= 1.0:
+            raise ValueError("h_hat must lie in [0, 1]")
         if not 2 <= self.layers <= 6:
             raise ValueError("layers must lie in [2, 6]")
         if min(self.lr, self.weight_decay, self.dropout) < 0:
@@ -150,22 +152,9 @@ def init_filter_model(
     return model
 
 
-def combine_hops(model: FilterModel, basis: BasisTensor) -> np.ndarray:
-    """Weighted sum of hop matrices; linear in the hop weights."""
-    M = basis.matrices
-    if M.shape[0] != model.w.shape[0]:
-        raise ValueError(f"basis has {M.shape[0]} hop matrices, model expects {model.w.shape[0]}")
-    if basis.columns != model.weights[0].shape[0]:
-        raise ValueError(
-            f"basis has {basis.columns} columns, first layer expects {model.weights[0].shape[0]}"
-        )
-    # The (1, K+1) @ (K+1, n*d) product `np.tensordot(w, M, axes=(0, 0))` makes.
-    return np.dot(model.w.reshape(1, -1), M.reshape(M.shape[0], -1)).reshape(M.shape[1:])
-
-
 def _combine(model: FilterModel, N: np.ndarray) -> np.ndarray:
-    """`combine_hops` over a node-major (rows, K+1, d) slab: the hop weights
-    times each row's (K+1, d) matrix."""
+    """Weighted sum of hop matrices over a node-major (rows, K+1, d) slab: the
+    hop weights times each row's (K+1, d) matrix; linear in the hop weights."""
     return np.matmul(model.w, N)
 
 
@@ -201,7 +190,7 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Logits for every node; softmax lives inside the loss only."""
-    logits, _ = _forward_pass(model, combine_hops(model, basis), training, rng)
+    logits, _ = _forward_pass(model, _combine(model, _rows(model, basis)), training, rng)
     return logits
 
 
@@ -267,10 +256,18 @@ def _slab_loss(model: FilterModel, N: np.ndarray, y: np.ndarray) -> float:
                           grad=False)[0]
 
 
-def _rows(basis: BasisTensor, labels: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows `mask` of `basis` as a node-major slab, and their labels."""
-    idx = _mask_indices(mask, basis.n)
-    return basis.matrices.transpose(1, 0, 2)[idx], np.asarray(labels)[idx]
+def _rows(model: FilterModel, basis: BasisTensor,
+          idx: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """The rows `idx` of `basis` as a node-major slab, all of them uncopied by
+    default, once `basis` is checked to fit `model`."""
+    M = basis.matrices
+    if M.shape[1] != model.w.shape[0]:
+        raise ValueError(f"basis has {M.shape[1]} hop matrices, model expects {model.w.shape[0]}")
+    if basis.columns != model.weights[0].shape[0]:
+        raise ValueError(
+            f"basis has {basis.columns} columns, first layer expects {model.weights[0].shape[0]}"
+        )
+    return M[idx]
 
 
 def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
@@ -278,7 +275,8 @@ def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
     """Loss over the nodes `mask` and its gradient, laid out like `model.params`.
     The rows are gathered into a slab and run through `train`'s forward and
     backward passes."""
-    N, y = _rows(basis, labels, mask)
+    idx = _mask_indices(mask, basis.n)
+    N, y = _rows(model, basis, idx), np.asarray(labels)[idx]
     grad = _Grad(model)
     value = _backward(model, N, y, grad, *_forward_pass(model, _combine(model, N), False, None))
     return value, grad.vec
@@ -301,7 +299,8 @@ def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
     is disabled; weight decay is an optimizer concern and excluded here.
     """
     _, analytic = _loss_and_grads(model, basis, labels, mask)
-    N, y = _rows(basis, labels, mask)
+    idx = _mask_indices(mask, basis.n)
+    N, y = _rows(model, basis, idx), np.asarray(labels)[idx]
     theta = model.params
     worst = 0.0
     for i in range(theta.size):
@@ -404,11 +403,10 @@ def _split_parts(dataset: LabeledDataset) -> list[np.ndarray]:
 
 
 def _training_basis(dataset: LabeledDataset, cfg: TrainConfig) -> np.ndarray:
-    """`build_basis(graph, features, cfg).matrices.transpose(1, 0, 2)[rows]`, bit
-    for bit, built as that: the basis `train` reads, node-major (rows, K+1, d)
-    with the rows in split order (train, then val, then test). Nodes in no
-    split list still shape the basis through propagation; their rows are
-    only not held."""
+    """`build_basis(graph, features, cfg).matrices[rows]`, bit for bit, built
+    as that: the basis `train` reads, node-major (rows, K+1, d) with the rows
+    in split order (train, then val, then test). Nodes in no split list
+    still shape the basis through propagation; their rows are only not held."""
     kind, args = _basis_args(cfg)
     return _node_major_basis(propagation_operator(dataset.graph, kind), dataset.features,
                              np.concatenate(_split_parts(dataset)), **args)

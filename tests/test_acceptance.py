@@ -186,7 +186,7 @@ def test_homophily_basis_convergence():
         op = propagation_operator(g)
         x = stream(i, "conv-sig").standard_normal(n)
         basis = make_basis(op, x, 201, "homophily")
-        M = basis.matrices[:, :, 0]
+        M = basis.matrices[:, :, 0].T
         cos = np.einsum("kn,kn->k", M[:-1], M[1:])
         drops = np.flatnonzero(cos[1:] < cos[:-1] - 1e-12)
         eta = int(drops[-1]) + 2 if drops.size else 0

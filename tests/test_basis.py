@@ -25,20 +25,20 @@ def test_homophily_basis_zero_hops_is_normalized_input(rng):
     op = propagation_operator(g)
     X = rng.standard_normal((20, 3))
     b = make_basis(op, X, 0, "homophily")
-    np.testing.assert_allclose(b.matrices[0], X / np.linalg.norm(X, axis=0), atol=1e-15)
+    np.testing.assert_allclose(b.matrices[:, 0], X / np.linalg.norm(X, axis=0), atol=1e-15)
 
 
 def test_homophily_basis_two_node_hops():
     op = propagation_operator(two_node_edge())
     b = make_basis(op, np.array([1.0, 0.0]), 2, "homophily")
-    np.testing.assert_allclose(b.matrices[:, :, 0], [[1, 0], [0, 1], [1, 0]], atol=1e-15)
+    np.testing.assert_allclose(b.matrices[:, :, 0].T, [[1, 0], [0, 1], [1, 0]], atol=1e-15)
 
 
 def test_homophily_basis_raw_keeps_scale():
     op = propagation_operator(two_node_edge(), "self-loops")
     b = make_basis(op, np.array([2.0, 0.0]), 1, "homophily", normalize=False)
-    np.testing.assert_allclose(b.matrices[0][:, 0], [2.0, 0.0])
-    np.testing.assert_allclose(b.matrices[1][:, 0], [1.0, 1.0])
+    np.testing.assert_allclose(b.matrices[:, 0][:, 0], [2.0, 0.0])
+    np.testing.assert_allclose(b.matrices[:, 1][:, 0], [1.0, 1.0])
 
 
 def test_homophily_hop_cosines_climb_toward_one():
@@ -46,7 +46,7 @@ def test_homophily_hop_cosines_climb_toward_one():
     op = propagation_operator(g)
     x = stream(12, "sig").standard_normal(100)
     b = make_basis(op, x, 101, "homophily")
-    M = b.matrices[:, :, 0]
+    M = b.matrices[:, :, 0].T
     cos = np.einsum("kn,kn->k", M[:-1], M[1:])
     # hops 50..100: cosine non-decreasing (floating slack) and angle near 0
     seg = cos[50:101]
@@ -77,7 +77,7 @@ def test_heterophily_pairwise_angles_match_target():
     x = stream(3, "sig").standard_normal((50, 2))
     b = make_basis(op, x, 10, "heterophily", h_hat=0.3)
     off, diag = angle_law_deviation(b)
-    gram = np.einsum("knd,jnd->kjd", b.matrices, b.matrices)
+    gram = np.einsum("nkd,njd->kjd", b.matrices, b.matrices)
     assert np.allclose(gram[~np.eye(11, dtype=bool)], np.cos(0.35 * np.pi), atol=1e-6)
     assert off < 1e-6
     assert diag < 1e-12
@@ -99,7 +99,7 @@ def test_heterophily_h_zero_yields_orthogonal_vectors():
     b = make_basis(op, x, 8, "heterophily", h_hat=0.0)
     off, diag = angle_law_deviation(b)
     assert off < 1e-6 and diag < 1e-12
-    np.testing.assert_allclose(b.matrices[0][:, 0], x / np.linalg.norm(x), atol=1e-15)
+    np.testing.assert_allclose(b.matrices[:, 0][:, 0], x / np.linalg.norm(x), atol=1e-15)
 
 
 def test_new_direction_is_orthogonal_to_previous_outputs():
@@ -111,7 +111,7 @@ def test_new_direction_is_orthogonal_to_previous_outputs():
     worst = 0.0
     for k in range(10):
         for j in range(k + 1):
-            dots = np.einsum("nd,nd->d", v.matrices[k + 1], u.matrices[j])
+            dots = np.einsum("nd,nd->d", v.matrices[:, k + 1], u.matrices[:, j])
             worst = max(worst, float(np.abs(dots).max()))
     assert worst < 1e-6
 
@@ -136,7 +136,7 @@ def test_krylov_exhaustion_freezes_column():
         b = make_basis(op, x, 4, "heterophily", h_hat=0.3)
     assert b.degenerate_columns == frozenset({0})
     for k in range(1, 5):
-        np.testing.assert_allclose(b.matrices[k], b.matrices[0])
+        np.testing.assert_allclose(b.matrices[:, k], b.matrices[:, 0])
 
 
 def test_zero_column_flagged_and_emitted_as_zeros():
@@ -169,7 +169,7 @@ def test_unibasis_hop_zero_is_normalized_signal_for_any_tau():
     op = propagation_operator(g)
     x = stream(13, "sig").standard_normal((25, 1))
     b = make_basis(op, x, 0, "uni", h_hat=0.7, tau=0.5)
-    np.testing.assert_allclose(b.matrices[0], x / np.linalg.norm(x), atol=1e-14)
+    np.testing.assert_allclose(b.matrices[:, 0], x / np.linalg.norm(x), atol=1e-14)
 
 
 def test_unibasis_rejects_bad_tau():
@@ -250,7 +250,7 @@ def test_basis_spectrum_single_column_equals_signal_frequency():
     spectrum = basis_spectrum(g, b)
     for k in range(6):
         assert spectrum[k] == pytest.approx(
-            signal_frequency(g, b.matrices[k][:, 0]), abs=1e-12)
+            signal_frequency(g, b.matrices[:, k][:, 0]), abs=1e-12)
 
 
 def test_basis_spectrum_heterophily_h_zero_in_bounds():
@@ -301,7 +301,7 @@ def test_export_basis_writes_matrices_and_meta(tmp_path):
     assert meta["K"] == 3
     assert meta["theta"] == pytest.approx(0.375 * np.pi)
     hop0 = np.loadtxt(tmp_path / "hop_0.csv", delimiter=",")
-    np.testing.assert_allclose(hop0, b.matrices[0], atol=1e-15)
+    np.testing.assert_allclose(hop0, b.matrices[:, 0], atol=1e-15)
 
 
 def _recorded(fn, *args, **kwargs):
@@ -360,7 +360,7 @@ def test_hop_prefix_property():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for short, long in zip(_all_constructors(op, X, 4), _all_constructors(op, X, 9)):
-            assert np.array_equal(short.matrices, long.matrices[:5]), short.kind
+            assert np.array_equal(short.matrices, long.matrices[:, :5]), short.kind
 
 
 def test_column_blocks_do_not_change_results(monkeypatch):
@@ -385,7 +385,7 @@ def test_column_blocks_do_not_change_results(monkeypatch):
 
 def test_unibasis_peak_memory_stays_near_its_result(monkeypatch):
     # Streaming bound: the result plus a few block-sized arrays, never a
-    # second copy of the (K+1, n, d) tensor. A deterministic count.
+    # second copy of the (n, K+1, d) tensor. A deterministic count.
     g = random_connected_graph(2000, 0.004, seed=24)
     op = propagation_operator(g)
     X = stream(24, "sig").standard_normal((2000, 600))
@@ -405,20 +405,25 @@ def test_exhaustion_warning_names_the_callers_file():
     # frame outside the package: this file, on the line of the call.
     from unifilter import model
     from unifilter.basis import make_basis, walk_spectrum
+    from unifilter.datasets import make_splits
+    from unifilter.graph import LabeledDataset
 
     g = sample_regular_graph(12, 4, stream(21, "reg"))
     op = propagation_operator(g)
     X = stream(21, "sig").standard_normal((12, 2))
     X[:, 1] = 1.0  # a fixed point of P: exhausts at hop 1
-    cfg = model.TrainConfig(hops=4, basis="heterophily", h_hat=0.3)
+    cfg = model.TrainConfig(hops=4, basis="heterophily", h_hat=0.3, max_epochs=2)
+    ds = LabeledDataset(graph=g, features=X, labels=np.arange(12) % 2,
+                        split=make_splits(12, "60/20/20", 1, 21)[0], num_classes=2)
     calls = {
-        "heterophily_basis": lambda: make_basis(op, X, 4, "heterophily", h_hat=0.3),
-        "orthonormal_basis": lambda: make_basis(op, X, 4, "orthonormal"),
-        "unibasis": lambda: make_basis(op, X, 4, "uni", h_hat=0.3, tau=0.5),
+        "orthonormal": lambda: make_basis(op, X, 4, "orthonormal"),
+        "uni": lambda: make_basis(op, X, 4, "uni", h_hat=0.3, tau=0.5),
         "make_basis": lambda: make_basis(op, X, 4, "heterophily", h_hat=0.3),
         "walk_spectrum": lambda: walk_spectrum(op, X, 4, "heterophily", h_hat=0.3),
         "build_basis": lambda: model.build_basis(g, X, cfg),
         "spectrum": lambda: model.spectrum(g, X, cfg),
+        "train": lambda: model.train(ds, cfg),
+        "train_runs": lambda: model.train_runs(ds, [cfg]),
     }
     for name, call in calls.items():
         with warnings.catch_warnings(record=True) as caught:

@@ -1,11 +1,15 @@
-"""The hop-prefix property and the training layout, over random hop counts.
+"""Column independence, the hop-prefix property and the training layout,
+over random hop counts.
 
-A basis built at K holds the one built at k <= K as its hops 0..k, bit for
-bit, for every kind. The experiment harnesses rely on it: `model.train_runs`
-builds the training basis once at K, node-major with the rows in split
-order, and trains a run at k on its view `[:, :k+1]`. So what they hand to
-`train` must hold the hop-major build's values at the split's rows, bit for
-bit, and the loss and gradient over those rows must be the all-rows
+Column j of a basis depends on column j of the input alone, so a basis of
+some input columns is those columns of the full basis. It is equal to
+rounding, not bit for bit: numpy's column reductions depend on the width of
+the array. A basis built at K holds the one built at k <= K as its hops
+0..k, bit for bit, for every kind. The experiment harnesses rely on it:
+`model.train_runs` builds the training basis once at K, node-major with the
+rows in split order, and trains a run at k on its view `[:, :k+1]`. So what
+they hand to `train` must hold the build's values at the split's rows, bit
+for bit, and the loss and gradient over those rows must be the all-rows
 computation's up to rounding.
 """
 
@@ -21,6 +25,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import random_connected_graph  # noqa: E402
+from test_fused_training import _hop_major  # noqa: E402
 from test_fused_training import _loss_and_grads as all_rows_loss_and_grads  # noqa: E402
 from unifilter import model as model_module  # noqa: E402
 from unifilter.basis import make_basis  # noqa: E402
@@ -61,11 +66,32 @@ def _signal(seed: int):
     return g, X
 
 
+def _wide_signal(seed: int):
+    """`_signal`'s graph and four columns, then eight random columns."""
+    g, X = _signal(seed)
+    return g, np.hstack([X, stream(seed, "wide-sig").standard_normal((24, 8))])
+
+
 def _partial_split(seed: int) -> Split:
     """Disjoint train, val and test lists in random order; some nodes are in none."""
     perm = stream(seed, "prefix-split").permutation(24)
     ntr, nva, nte = 1 + seed % 10, 1 + seed % 5, 1 + seed % 7
     return Split(train=perm[:ntr], val=perm[ntr:ntr + nva], test=perm[ntr + nva:ntr + nva + nte])
+
+
+@SETTINGS
+@given(cases(), st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True))
+def test_a_build_on_some_columns_is_those_columns_of_the_full_build(case, cols):
+    (kind, recipe), _, K, seed = case
+    g, X = _wide_signal(seed)
+    op = propagation_operator(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        full = make_basis(op, X, K, kind, **recipe)
+        part = make_basis(op, X[:, cols], K, kind, **recipe)
+    np.testing.assert_allclose(part.matrices, full.matrices[:, :, cols], rtol=0, atol=1e-12)
+    assert part.degenerate_columns == {i for i, j in enumerate(cols)
+                                       if j in full.degenerate_columns}
 
 
 @SETTINGS
@@ -88,12 +114,12 @@ def test_a_build_at_k_is_the_first_hops_of_the_build_at_K(case):
             cfg = _config(kind, recipe, K)
             train_runs(ds, [replace(cfg, hops=k), cfg])
     assert short.hops == k
-    assert np.array_equal(short.matrices, built.matrices[:k + 1])
-    # The training basis, and the run at k's view of it, hold the hop-major
+    assert np.array_equal(short.matrices, built.matrices[:, :k + 1])
+    # The training basis, and the run at k's view of it, hold the build's
     # values at the split's rows, in split order; unlisted rows are not held.
     for hops, want in ((k, short), (K, built)):
         assert seen[hops].shape == (rows.size, hops + 1, X.shape[1])
-        assert np.array_equal(seen[hops], want.matrices.transpose(1, 0, 2)[rows])
+        assert np.array_equal(seen[hops], want.matrices[rows])
 
 
 @SETTINGS
@@ -110,6 +136,6 @@ def test_slab_loss_and_gradient_equal_the_all_rows_computation(case, layers, cla
     labels = rng.integers(0, classes, 24)
     idx = _partial_split(seed).train
     got_loss, got = _loss_and_grads(model, basis, labels, idx)
-    want_loss, want = all_rows_loss_and_grads(model, basis, labels, idx)
+    want_loss, want = all_rows_loss_and_grads(model, _hop_major(basis), labels, idx)
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -590,7 +590,10 @@ def test_checkpoint_config_is_the_resolved_train_config(toy_run):
                                         max_epochs=200, seed=1, h_hat=h_hat))
 
 
-@pytest.mark.parametrize("case", ["extra-key", "no-h_hat", "null-h_hat"])
+BAD_H_HAT = {"string-h_hat": "0.5", "list-h_hat": [0.5], "above-one-h_hat": 1.5}
+
+
+@pytest.mark.parametrize("case", ["extra-key", "no-h_hat", "null-h_hat", *BAD_H_HAT])
 def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, tmp_path,
                                                               case):
     ckpt = json.loads((toy_run / "checkpoint.json").read_text())
@@ -598,13 +601,17 @@ def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, 
         ckpt["config"]["momentum"] = 0.9
     elif case == "no-h_hat":
         del ckpt["config"]["h_hat"]
-    else:
+    elif case == "null-h_hat":
         ckpt["config"]["h_hat"] = None
+    else:
+        ckpt["config"]["h_hat"] = BAD_H_HAT[case]
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(ckpt))
     proc = run_spectrum(toy_dir, path, tmp_path / "out")
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+    if case in BAD_H_HAT:
+        assert proc.stderr.startswith(f"error: {path}: bad config: "), proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -37,6 +37,11 @@ from unifilter.model import (
 )
 from unifilter.rng import stream, substream_seed
 
+
+def _hop_major(basis):
+    """`basis` in the earlier hop-major (K+1, n, d) layout the all-rows block reads."""
+    return replace(basis, matrices=np.ascontiguousarray(basis.matrices.transpose(1, 0, 2)))
+
 # --- Frozen: verbatim copies of the earlier code; do not edit. ---------------
 
 ADAM_BETA1 = 0.9
@@ -152,7 +157,7 @@ def _two_pass_train(dataset, cfg, basis=None, return_model=False):
     if fallback:
         h_hat = FALLBACK_HOMOPHILY
     if basis is None:
-        basis = build_basis(dataset.graph, dataset.features, replace(cfg, h_hat=h_hat))
+        basis = _hop_major(build_basis(dataset.graph, dataset.features, replace(cfg, h_hat=h_hat)))
 
     rng_init = stream(cfg.seed, "init")
     rng_drop = stream(cfg.seed, "dropout")
@@ -295,7 +300,7 @@ def _slab_two_pass_train(dataset, cfg, basis=None, return_model=False):
         h_hat = FALLBACK_HOMOPHILY
     if basis is None:
         basis = build_basis(dataset.graph, dataset.features,
-                            replace(cfg, h_hat=h_hat)).matrices.transpose(1, 0, 2)[rows]
+                            replace(cfg, h_hat=h_hat)).matrices[rows]
 
     rng_init = stream(cfg.seed, "init")
     rng_drop = stream(cfg.seed, "dropout")
@@ -381,14 +386,13 @@ CASES = {
 
 
 def _training_basis(dataset, cfg):
-    """The split-ordered node-major basis of `cfg`, gathered from the hop-major
-    build, and that build."""
+    """The split-ordered node-major basis of `cfg`, gathered from the build,
+    and that build."""
     built = build_basis(dataset.graph, dataset.features,
                         replace(cfg, h_hat=_train_edge_homophily(
                             dataset.graph, dataset.labels, dataset.split.train)))
     split = dataset.split
-    return built.matrices.transpose(1, 0, 2)[np.concatenate(
-        [split.train, split.val, split.test])], built
+    return built.matrices[np.concatenate([split.train, split.val, split.test])], built
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -417,7 +421,7 @@ def test_train_row_loss_and_gradient_equal_the_all_rows_computation(dataset, cas
                                 dataset.num_classes, cfg.dropout, stream(cfg.seed, "init"))
     for model in (initial, trained):
         got_loss, got = model_module._loss_and_grads(model, built, dataset.labels, tidx)
-        want_loss, want = _loss_and_grads(model, built, dataset.labels, tidx)
+        want_loss, want = _loss_and_grads(model, _hop_major(built), dataset.labels, tidx)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -8,7 +8,6 @@ from unifilter.datasets import make_splits
 from unifilter.model import (
     FilterModel,
     TrainConfig,
-    combine_hops,
     evaluate,
     forward,
     gradient_check,
@@ -17,6 +16,7 @@ from unifilter.model import (
     loss,
     save_checkpoint,
     train,
+    _combine,
     _loss_and_grads,
 )
 from unifilter.rng import stream
@@ -57,7 +57,7 @@ def test_forward_one_hot_hop_weight():
     model.w[0] = 1.0
     logits = forward(model, basis)
     np.testing.assert_allclose(
-        logits, basis.matrices[0] @ model.weights[0] + model.biases[0], atol=1e-14)
+        logits, basis.matrices[:, 0] @ model.weights[0] + model.biases[0], atol=1e-14)
 
 
 def test_forward_zero_weights_broadcast_bias():
@@ -87,11 +87,11 @@ def test_combine_is_linear_in_hop_weights():
     w1, w2 = rng.standard_normal(5), rng.standard_normal(5)
     a, b = 0.3, -1.7
     model.w = w1
-    z1 = combine_hops(model, basis)
+    z1 = _combine(model, basis.matrices)
     model.w = w2
-    z2 = combine_hops(model, basis)
+    z2 = _combine(model, basis.matrices)
     model.w = a * w1 + b * w2
-    np.testing.assert_allclose(combine_hops(model, basis), a * z1 + b * z2, atol=1e-12)
+    np.testing.assert_allclose(_combine(model, basis.matrices), a * z1 + b * z2, atol=1e-12)
 
 
 def test_loss_uniform_logits():
@@ -122,7 +122,7 @@ def test_loss_rejects_empty_mask():
 def _identity_head_model(onehot: np.ndarray, flip: bool = False) -> tuple[FilterModel, BasisTensor]:
     """Single-hop basis holding one-hot rows plus an identity (or swapped) head."""
     n, c = onehot.shape
-    basis = BasisTensor(kind="uni", matrices=onehot[None].astype(float))
+    basis = BasisTensor(kind="uni", matrices=onehot[:, None].astype(float))
     W = np.eye(c)[:, ::-1].copy() if flip else np.eye(c)
     model = FilterModel(np.concatenate([np.ones(1), W.ravel(), np.zeros(c)]),
                         [(1,), (c, c), (c,)], dropout=0.0)

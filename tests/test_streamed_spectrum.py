@@ -44,7 +44,7 @@ def _one_matrix_spectrum(g, b):
     op = propagation_operator(g)
     out: list[float] = []
     for k in range(b.hops + 1):
-        freqs = matrix_frequencies(op, b.matrices[k][:, keep])
+        freqs = matrix_frequencies(op, b.matrices[:, k][:, keep])
         valid = ~np.isnan(freqs)
         if not valid.any():
             raise ValueError(f"no usable column at hop {k}")
