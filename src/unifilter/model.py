@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,18 @@ class TrainConfig:
     h_hat: float | None = None
 
     def __post_init__(self) -> None:
+        # Types first. bool is an int to Python, so the numeric fields reject
+        # it explicitly.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise TypeError(f"{f.name} must be true or false")
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise TypeError(f"{f.name} must be an integer")
+            if f.type.startswith("float") and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise TypeError(f"{f.name} must be a number")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
@@ -91,6 +104,8 @@ class TrainConfig:
             raise ValueError("layers must lie in [2, 6]")
         if min(self.lr, self.weight_decay, self.dropout) < 0:
             raise ValueError("rates must be >= 0")
+        if not all(map(math.isfinite, (self.lr, self.weight_decay, self.dropout))):
+            raise ValueError("rates must be finite")
         if self.dropout >= 1.0:
             raise ValueError("dropout must be < 1")
         if self.basis not in (UNI, HOMOPHILY, HETEROPHILY, ORTHONORMAL):

@@ -265,19 +265,44 @@ def _random_edge_graph(n: int, m: int, seed: int) -> Graph:
     rng = stream(seed, "scal-edges")
     ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
     ring.sort(axis=1)
-    keys = set(map(tuple, ring.tolist()))
-    need = m - len(keys)
+    keys = np.sort(ring[:, 0] * n + ring[:, 1])
+    need = m - keys.size
     while need > 0:
         cand = rng.integers(0, n, size=(int(need * 1.3) + 16, 2))
         cand = cand[cand[:, 0] != cand[:, 1]]
         cand.sort(axis=1)
-        for u, v in cand.tolist():
-            if (u, v) not in keys:
-                keys.add((u, v))
-                need -= 1
-                if need == 0:
-                    break
-    return Graph.from_edges(np.array(sorted(keys)), n)
+        # Each batch adds, in draw order, the first occurrence of every edge
+        # not yet present, up to `need` of them.
+        code = cand[:, 0] * n + cand[:, 1]
+        order = np.argsort(code, kind="stable")
+        first = np.ones(code.size, dtype=bool)
+        first[1:] = code[order[1:]] != code[order[:-1]]
+        fresh = code[np.sort(order[first])]
+        fresh = fresh[~np.isin(fresh, keys)][:need]
+        keys = np.sort(np.concatenate([keys, fresh]))
+        need -= fresh.size
+    return Graph.from_edges(np.stack([keys // n, keys % n], 1), n)
+
+
+def test_random_edge_graph_equals_its_loop_form():
+    # The cost-scaling graphs' helper against the edge-by-edge loop it
+    # replaced; the small graphs near saturation take several batches.
+    for n, m, seed in ((40, 700, 1), (300, 3000, 2), (1000, 2500, 3)):
+        rng = stream(seed, "scal-edges")
+        keys = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+        need = m - len(keys)
+        while need > 0:
+            cand = rng.integers(0, n, size=(int(need * 1.3) + 16, 2))
+            cand = cand[cand[:, 0] != cand[:, 1]]
+            cand.sort(axis=1)
+            for u, v in cand.tolist():
+                if (u, v) not in keys and need > 0:
+                    keys.add((u, v))
+                    need -= 1
+        want = Graph.from_edges(np.array(sorted(keys)), n)
+        got = _random_edge_graph(n, m, seed)
+        for field in ("indptr", "indices", "degrees"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_construction_cost_scaling():

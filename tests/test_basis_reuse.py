@@ -1,6 +1,7 @@
 """The harnesses build each distinct basis once and train every run on it, or
 on its first hops; every report must equal a run that builds its own basis."""
 
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -119,6 +120,27 @@ def test_ablation_builds_six_bases_per_split(dataset, builds):
         assert table["acc"]["HetFilter"][i] == train(ds, replace(run, tau=0.0)).test_acc
         assert table["acc"]["OrtFilter"][i] == \
             train(ds, replace(run, basis=ORTHONORMAL)).test_acc
+
+
+def test_ablation_trains_each_distinct_config_once(dataset, monkeypatch):
+    runs = []
+    real_train = model_module.train
+
+    def recorded(ds, cfg, **kwargs):
+        runs.append((ds.split, cfg))
+        return real_train(ds, cfg, **kwargs)
+
+    monkeypatch.setattr(model_module, "train", recorded)
+    cfg = TrainConfig(hops=3, lr=0.05, hidden=8, patience=10, max_epochs=20, seed=5)
+    ablation_basis_variants(replace(dataset, split=None), cfg, num_seeds=2)
+    by_split = {}
+    for split, run in runs:
+        by_split.setdefault(id(split), []).append(run)
+    # OrtFilter and the five-tau grid; HetFilter and HomFilter are the grid's
+    # tau=0 and tau=1 runs.
+    assert [len(cfgs) for cfgs in by_split.values()] == [6, 6]
+    for cfgs in by_split.values():
+        assert all(a != b for a, b in itertools.combinations(cfgs, 2))
 
 
 def test_random_search_builds_one_basis_per_tau(dataset, builds):

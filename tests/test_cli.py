@@ -590,10 +590,14 @@ def test_checkpoint_config_is_the_resolved_train_config(toy_run):
                                         max_epochs=200, seed=1, h_hat=h_hat))
 
 
-BAD_H_HAT = {"string-h_hat": "0.5", "list-h_hat": [0.5], "above-one-h_hat": 1.5}
+# Config fields of the wrong type or range, each of which TrainConfig rejects.
+BAD_CONFIG = {"string-h_hat": {"h_hat": "0.5"}, "list-h_hat": {"h_hat": [0.5]},
+              "above-one-h_hat": {"h_hat": 1.5}, "float-hops": {"hops": 2.0},
+              "bool-hops-and-h_hat": {"hops": True, "h_hat": True},
+              "string-reortho": {"reortho": "no"}, "int-self_loops": {"self_loops": 1}}
 
 
-@pytest.mark.parametrize("case", ["extra-key", "no-h_hat", "null-h_hat", *BAD_H_HAT])
+@pytest.mark.parametrize("case", ["extra-key", "no-h_hat", "null-h_hat", *BAD_CONFIG])
 def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, tmp_path,
                                                               case):
     ckpt = json.loads((toy_run / "checkpoint.json").read_text())
@@ -604,13 +608,15 @@ def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, 
     elif case == "null-h_hat":
         ckpt["config"]["h_hat"] = None
     else:
-        ckpt["config"]["h_hat"] = BAD_H_HAT[case]
+        ckpt["config"].update(BAD_CONFIG[case])
+        # The hop weights fit the hop count, so only the config's types are wrong.
+        ckpt["w"] = ckpt["w"][:int(ckpt["config"]["hops"]) + 1]
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(ckpt))
     proc = run_spectrum(toy_dir, path, tmp_path / "out")
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
-    if case in BAD_H_HAT:
+    if case in BAD_CONFIG:
         assert proc.stderr.startswith(f"error: {path}: bad config: "), proc.stderr
     assert not (tmp_path / "out").exists()
 

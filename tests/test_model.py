@@ -339,6 +339,19 @@ def test_config_validation():
         TrainConfig(layers=1)
     with pytest.raises(ValueError):
         TrainConfig(layers=7)
+    # Integer fields take non-bool integers, real fields finite non-bool
+    # numbers, and flags bools.
+    for field, value in (("hops", 2.0), ("hops", True), ("seed", "0"), ("h_hat", True),
+                         ("tau", "0.5"), ("lr", False), ("reortho", "no"),
+                         ("self_loops", 1), ("raw_homophily", None)):
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+    for field in ("lr", "weight_decay", "dropout"):
+        with pytest.raises(ValueError, match=r"^rates must be finite$"):
+            TrainConfig(**{field: float("nan")})
+    with pytest.raises(ValueError, match=r"^rates must be finite$"):
+        TrainConfig(lr=float("inf"))
+    TrainConfig(hops=np.int64(3), tau=np.float64(0.25), lr=1, h_hat=None)
 
 
 def test_checkpoint_roundtrip(tmp_path):
