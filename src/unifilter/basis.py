@@ -32,10 +32,12 @@ EXHAUSTION_TOL = 1e-10
 # Below this cos(theta) the update factor overflows; the exact limit is u_k = v_k.
 COS_UNDERFLOW_TOL = 1e-8
 _ZERO_NORM = 1e-300
-# Bytes of one n x width block array. A walk keeps about ten of them alive, a
-# small share of the result; a 127 x 100 tree signal and a 50k x 16 signal
-# still fit in one block each, where a split cost 5-10% per build.
-_BLOCK_BYTES = 7 << 20
+# Bytes of one n x width block array. A walk keeps about ten of them alive, 35
+# MiB above a 326 MiB result at Cora shape. A 127 x 100 tree signal still fits
+# in one block; a 50k x 16 signal splits into widths 9 + 7: the same bits, but
+# its build takes about 15% longer.
+# Training forms its first layer's input gradient in row chunks of this size.
+_BLOCK_BYTES = 7 << 19
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
@@ -112,11 +114,13 @@ def _outside_stacklevel() -> int:
 
 
 def _blocks(n: int, d: int) -> list[slice]:
-    """Column blocks of _BLOCK_BYTES per n-row array, each at least 2 wide.
+    """Slices of range(d) of _BLOCK_BYTES per n x width array, each at least 2
+    wide: the walk's column blocks, and training's row chunks as `_blocks(row
+    width, rows)`.
 
     numpy sums a lone (n, 1) column pairwise but wider blocks row by row,
-    so a 1-wide remainder would change the last bits; it joins the block
-    before it.
+    and BLAS multiplies a lone row by another routine than a matrix, so a
+    1-wide remainder would change the last bits; it joins the slice before it.
     """
     width = max(2, _BLOCK_BYTES // (8 * max(n, 1)))
     edges = list(range(0, d, width)) + [d]

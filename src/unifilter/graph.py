@@ -342,10 +342,14 @@ class LabeledDataset:
 
 
 def _loadtxt(path: str | Path, **kwargs) -> np.ndarray:
-    """np.loadtxt without its empty-input UserWarning; the callers reject empty input."""
+    """np.loadtxt without its empty-input UserWarning (the callers reject empty
+    input); what it cannot parse raises ValueError naming `path`."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(path, **kwargs)
+        try:
+            return np.loadtxt(path, **kwargs)
+        except ValueError as exc:  # a bad token, ragged rows, or bytes that are not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def load_features(path: str | Path) -> np.ndarray:
@@ -366,9 +370,9 @@ def load_labels(path: str | Path) -> np.ndarray:
     if labels.size == 0:
         raise ValueError(f"no labels in {path}")
     if labels.ndim != 1:
-        raise ValueError("label file must hold one integer per line")
+        raise ValueError(f"{path}: label file must hold one integer per line")
     if labels.min() < 0:
-        raise ValueError("labels must be non-negative")
+        raise ValueError(f"{path}: labels must be non-negative")
     return labels
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import (HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, _node_major_basis,
-                    make_basis, walk_spectrum)
+from .basis import (HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, BasisTensor, _blocks,
+                    _node_major_basis, make_basis, walk_spectrum)
 from .graph import (FALLBACK_HOMOPHILY, NO_SELF_LOOPS, SELF_LOOPS, Graph, LabeledDataset,
                     _mask_indices, _train_edge_homophily, propagation_operator)
 from .rng import stream
@@ -175,11 +175,12 @@ def _combine(model: FilterModel, N: np.ndarray) -> np.ndarray:
 
 def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
                   rng: np.random.Generator | None):
-    """Logits from the combined hops `z`, plus what the backward pass reads: each
-    layer's input, its dropout mask (or None) and the pre-activations of the
-    hidden layers."""
+    """Logits from the combined hops `z`, plus what the backward pass reads:
+    each layer's input and its dropout mask (or None). Masks and ReLUs apply
+    in place, `z` too, and no pre-activation is kept: a ReLU output is
+    positive exactly where its input is, so a layer input carries its mask."""
     nlayers = len(model.weights)
-    inputs, masks, pre = [], [], []
+    inputs, masks = [], []
     act = z
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
         mask = None
@@ -188,14 +189,13 @@ def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
                 raise ValueError("dropout needs an RNG in training mode")
             keep = 1.0 - model.dropout
             mask = (rng.random(act.shape) < keep) / keep
-            act = act * mask
+            act *= mask
         inputs.append(act)
         masks.append(mask)
         h = act @ W + b
         if i < nlayers - 1:
-            pre.append(h)
-            act = np.maximum(h, 0.0)
-    return h, (inputs, masks, pre)
+            act = np.maximum(h, 0.0, out=h)
+    return h, (inputs, masks)
 
 
 def forward(
@@ -248,20 +248,40 @@ def _backward(model: FilterModel, N: np.ndarray, y: np.ndarray, grad: _Grad,
     over the node-major slab N (its logits and cache), whose labels are `y`.
     Its gradient is written into `grad.vec`. The cache is read through row
     views and the hop-weight gradient runs over N[:y.size], so rows after
-    those cost nothing here."""
+    those cost nothing here. The first layer's input gradient is made in
+    row chunks of `_blocks`, never whole."""
     r = y.size
-    inputs, masks, pre = cache
+    inputs, masks = cache
     value, gout = _cross_entropy(logits[:r], y)
-    for i in range(len(model.weights) - 1, -1, -1):
+    for i in range(len(model.weights) - 1, 0, -1):
         grad.weights[i][...] = inputs[i][:r].T @ gout
         grad.biases[i][...] = gout.sum(axis=0)
-        gin = gout @ model.weights[i].T
+        gout = gout @ model.weights[i].T
         if masks[i] is not None:
-            gin *= masks[i][:r]
-        if i > 0:
-            gout = gin * (pre[i - 1][:r] > 0.0)
-    # Each row's (K+1, d) matrix times its d-vector, summed over the rows.
-    grad.w[...] = np.matmul(N[:r], gin[:, :, None]).sum(axis=0)[:, 0]
+            gout *= masks[i][:r]
+        # The ReLU mask: the input is positive where the pre-activation was,
+        # but at dropped entries, whose gradient is already +-0 and stays so.
+        gout *= inputs[i][:r] > 0.0
+    grad.weights[0][...] = inputs[0][:r].T @ gout
+    grad.biases[0][...] = gout.sum(axis=0)
+    # Each row's (K+1, d) matrix times its d-vector, summed over the rows in
+    # order, as np.sum over axis 0 sums them: each chunk's products follow the
+    # running total prods[0], which starts at -0.0, the identity of addition.
+    # BLAS may tile a chunk's rows unlike the whole matrix's, so gin can differ
+    # from the one-shot product's in a last bit; none has reached the
+    # hop-weight gradient in a measured run.
+    W0, chunks = model.weights[0], _blocks(max(N.shape[1:]), r)  # gin, products fit
+    prods = np.empty((max(c.stop - c.start for c in chunks) + 1, N.shape[1], 1))
+    prods[0] = -0.0
+    for rows in chunks:
+        gin = gout[rows] @ W0.T
+        if masks[0] is not None:
+            gin *= masks[0][rows]
+        end = rows.stop - rows.start + 1
+        np.matmul(N[rows], gin[:, :, None], out=prods[1:end])
+        del gin  # before the next chunk's is made
+        prods[0] = prods[:end].sum(axis=0)
+    grad.w[...] = prods[0, :, 0]
     return value
 
 

@@ -342,7 +342,9 @@ def test_manifest_written_once_with_digests(toy_dir, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["hidden", "max-epochs", "nan-feature", "empty-features",
-                                  "split-without-val", "empty-val", "nonfinite-loss"])
+                                  "non-utf8-features", "ragged-features", "fractional-label",
+                                  "negative-label", "split-without-val", "empty-val",
+                                  "nonfinite-loss"])
 def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
     # The output directory exists, so a manifest written on failure would show.
     (tmp_path / "out").mkdir()
@@ -360,6 +362,26 @@ def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
         (tmp_path / "features.csv").write_text("")
         args[args.index("--features") + 1] = tmp_path / "features.csv"
         expected = "no feature rows in"
+    elif case in ("non-utf8-features", "ragged-features"):
+        # numpy's own message, prefixed with the file it is about.
+        path = tmp_path / "features.csv"
+        bad, message = {
+            "non-utf8-features": (b"\xff,0\n", "'utf-8' codec can't decode byte 0xff"),
+            "ragged-features": (b"1,0,0\n", "the number of columns changed from 2 to 3"),
+        }[case]
+        path.write_bytes((toy_dir / "features.csv").read_bytes() + bad)
+        args[args.index("--features") + 1] = path
+        expected = f"{path}: {message}"
+    elif case in ("fractional-label", "negative-label"):
+        path = tmp_path / "labels.txt"
+        bad, message = {
+            "fractional-label": ("0.5", "could not convert string '0.5' to int64"),
+            "negative-label": ("-1", "labels must be non-negative"),
+        }[case]
+        lines = (toy_dir / "labels.txt").read_text().splitlines()
+        path.write_text("\n".join([bad] + lines[1:]) + "\n")
+        args[args.index("--labels") + 1] = path
+        expected = f"{path}: {message}"
     elif case == "nonfinite-loss":
         args[args.index("--lr") + 1] = 1e300
         expected = "training loss is not finite at epoch 2"

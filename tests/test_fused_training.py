@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from unifilter import basis as basis_module
 from unifilter import model as model_module
 from unifilter.basis import UNI
 from unifilter.datasets import (TreeSpec, binary_tree_dataset, make_splits,
@@ -424,6 +425,34 @@ def test_train_row_loss_and_gradient_equal_the_all_rows_computation(dataset, cas
         want_loss, want = _loss_and_grads(model, _hop_major(built), dataset.labels, tidx)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_row_chunked_gradient_equals_the_one_shot_form(dataset, monkeypatch, dropout, layers):
+    # Chunks of 3 train rows: the first layer's input gradient and the
+    # hop-weight gradient run over 24 chunks, and the hop-weight sum must keep
+    # the one-shot form's row-by-row order.
+    cfg = replace(BASE, dropout=dropout, layers=layers)
+    basis, _ = _training_basis(dataset, cfg)
+    ntr = dataset.split.train.size
+    monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 3 * 8 * max(basis.shape[1:]))
+    assert len(basis_module._blocks(max(basis.shape[1:]), ntr)) == ntr // 3 == 24
+    y = dataset.labels[dataset.split.train]
+    _, trained = train(dataset, cfg, basis=basis, return_model=True)
+    initial = init_filter_model(cfg.hops, basis.shape[2], cfg.hidden, cfg.layers,
+                                dataset.num_classes, cfg.dropout, stream(cfg.seed, "init"))
+    for model in (initial, trained):
+        z = np.matmul(model.w, basis[:ntr])
+        grad = model_module._Grad(model)
+        got_loss = model_module._backward(
+            model, basis, y, grad,
+            *model_module._forward_pass(model, z.copy(), True, stream(1, "dropout")))
+        want_loss, want = _slab_backward(model, basis, y,
+                                         *_forward_pass(model, z, True, stream(1, "dropout")))
+        assert got_loss == want_loss
+        # Bytes, so that the sign of a zero counts too.
+        assert grad.vec.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])

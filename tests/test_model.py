@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_connected_graph
+from unifilter import basis as basis_module
 from unifilter.basis import BasisTensor, make_basis
 from unifilter.graph import Graph, LabeledDataset, propagation_operator
-from unifilter.datasets import make_splits
+from unifilter.datasets import make_splits, planted_homophily_graph
 from unifilter.model import (
     FilterModel,
     TrainConfig,
@@ -18,6 +21,7 @@ from unifilter.model import (
     train,
     _combine,
     _loss_and_grads,
+    _training_basis,
 )
 from unifilter.rng import stream
 
@@ -237,6 +241,30 @@ def test_train_loss_non_increasing_with_small_lr():
     losses = [tl for _, tl, _ in report.loss_curve]
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-6)
+
+
+@pytest.mark.parametrize("d, hidden", [(800, 8), (4, 256)])
+def test_epoch_memory_is_the_combined_hops_plus_a_few_blocks(monkeypatch, d, hidden):
+    # Above the basis, an epoch holds the combined hops z over the train and
+    # val rows, row chunks of the first layer's gradient, the model, and the
+    # hidden layer's slabs, each hidden/d z: its activations, the gradient at
+    # them, and the product before the bias is added. No (train rows, d)
+    # gradient and no kept pre-activations. A deterministic count.
+    g, labels = planted_homophily_graph(600, 1800, 3, 0.3, seed=5)
+    ds = LabeledDataset(graph=g, features=stream(5, "features").standard_normal((600, d)),
+                        labels=labels, split=make_splits(600, "60/20/20", 1, 5)[0],
+                        num_classes=3)
+    cfg = TrainConfig(hops=4, hidden=hidden, max_epochs=3, patience=3, h_hat=0.3)
+    basis = _training_basis(ds, cfg)
+    monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 8 * 8 * max(basis.shape[1:]))
+    z = (ds.split.train.size + ds.split.val.size) * d * 8
+    tracemalloc.start()
+    try:
+        train(ds, cfg, basis=basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.25 + 2.5 * hidden / d) * z, peak / z
 
 
 def test_train_deterministic_bitwise():
