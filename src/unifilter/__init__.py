@@ -67,11 +67,6 @@ from .model import (
     train,
 )
 from .spectral import (
-    aligned_unit_signal,
-    dense_eigen_oracle,
     dirichlet_energy,
-    expected_frequency_regular,
-    mc_expected_frequency,
-    sample_regular_graph,
     signal_frequency,
 )

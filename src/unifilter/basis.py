@@ -361,10 +361,14 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
     return _mean_frequencies(freqs, _usable(X.shape[1], health.degenerate))
 
 
-def pairwise_hop_gram(b: BasisTensor) -> np.ndarray:
-    """Gram matrices between hop vectors, one (K+1 x K+1) slab per column."""
+def _kept_gram(b: BasisTensor) -> np.ndarray:
+    """Gram matrices between hop vectors, one (K+1 x K+1) slab per
+    non-degenerate column; raises when every column is degenerate."""
+    keep = _usable(b.columns, b.degenerate_columns)
+    if not keep.any():
+        raise ValueError("all columns degenerate")
     M = b.matrices
-    return np.einsum("nkd,njd->kjd", M, M)
+    return np.einsum("nkd,njd->kjd", M, M)[:, :, keep]
 
 
 def angle_law_deviation(b: BasisTensor) -> tuple[float, float]:
@@ -372,10 +376,7 @@ def angle_law_deviation(b: BasisTensor) -> tuple[float, float]:
     (cos theta, 1), over non-degenerate columns."""
     if b.theta is None:
         raise ValueError("basis carries no angle")
-    keep = _usable(b.columns, b.degenerate_columns)
-    if not keep.any():
-        raise ValueError("all columns degenerate")
-    gram = pairwise_hop_gram(b)[:, :, keep]
+    gram = _kept_gram(b)
     kk = b.hops + 1
     eye = np.eye(kk, dtype=bool)
     off = np.abs(gram[~eye] - np.cos(b.theta)).max() if kk > 1 else 0.0
@@ -385,10 +386,7 @@ def angle_law_deviation(b: BasisTensor) -> tuple[float, float]:
 
 def orthonormality_deviation(b: BasisTensor) -> float:
     """Max deviation of hop-vector Gram matrices from identity, per column."""
-    keep = _usable(b.columns, b.degenerate_columns)
-    if not keep.any():
-        raise ValueError("all columns degenerate")
-    gram = pairwise_hop_gram(b)[:, :, keep]
+    gram = _kept_gram(b)
     eye = np.eye(b.hops + 1)[:, :, None]
     return float(np.abs(gram - eye).max())
 

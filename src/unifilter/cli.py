@@ -76,6 +76,14 @@ def _write_table(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _grid(text: str, kind: type, name: str) -> tuple:
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"{name} must be comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _check_unit(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise UsageError(f"{name} must be in [0,1]")
@@ -261,10 +269,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     from .datasets import energy_trajectory
 
-    ds = _load_dataset_args(args)
-    tau_grid = tuple(float(t) for t in args.tau_grid.split(","))
+    tau_grid = _grid(args.tau_grid, float, "tau-grid")
     for t in tau_grid:
         _check_unit(t, "tau-grid entry")
+    ds = _load_dataset_args(args)
     rows = energy_trajectory(ds, tau_grid, args.k_max, h_hat=args.hom_ratio)
     _write_table(_outdir(args) / "energy.csv", "tau,k,energy", rows)
     print(f"rows={len(rows)}")
@@ -274,7 +282,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_squash(args: argparse.Namespace) -> int:
     from .datasets import TreeSpec, oversquashing_experiment
 
-    k_grid = tuple(int(k) for k in args.k_grid.split(","))
+    k_grid = _grid(args.k_grid, int, "k-grid")
     table = oversquashing_experiment(
         TreeSpec(depth=args.depth, feature_dim=args.feature_dim,
                  num_classes=args.classes, seed=args.seed),
@@ -437,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         except (ValueError, RuntimeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return 1
 
 

@@ -171,6 +171,11 @@ def planted_homophily_graph(
     """
     if num_edges < n - 1:
         raise ValueError("need at least n-1 edges for connectivity")
+    if not 1 <= num_classes <= n:
+        raise ValueError(f"num_classes {num_classes} must lie in [1, n={n}]")
+    pairs = n * (n - 1) // 2
+    if num_edges > pairs:
+        raise ValueError(f"num_edges {num_edges} exceeds the {pairs} node pairs of n={n}")
     rng = stream(seed, "planted")
     labels = np.concatenate([np.arange(num_classes), rng.integers(0, num_classes, n - num_classes)])
     rng.shuffle(labels)

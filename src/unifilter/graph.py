@@ -90,23 +90,6 @@ class Graph:
                     stack.append(int(v))
         return bool(seen.all())
 
-    def is_bipartite(self) -> bool:
-        color = np.full(self.n, -1, dtype=np.int8)
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in self.neighbors(u):
-                    if color[v] < 0:
-                        color[v] = 1 - color[u]
-                        stack.append(int(v))
-                    elif color[v] == color[u]:
-                        return False
-        return True
-
 
 def load_graph(path: str | Path, n: int) -> Graph:
     """Parse a whitespace-separated, 0-indexed edge list file.
@@ -187,10 +170,6 @@ class PropagationOperator:
         if x.shape[0] != self.graph.n:
             raise ValueError(f"signal has {x.shape[0]} rows, graph has {self.graph.n} nodes")
         return self._matrix @ x
-
-    def to_dense(self) -> np.ndarray:
-        # Test/diagnostic path only; O(n^2) memory.
-        return self._matrix.toarray()
 
 
 def propagation_operator(g: Graph, kind: str = NO_SELF_LOOPS) -> PropagationOperator:

@@ -23,6 +23,24 @@ def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(edges, n)
 
 
+def is_bipartite(g: Graph) -> bool:
+    color = np.full(g.n, -1, dtype=np.int8)
+    for start in range(g.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors(u):
+                if color[v] < 0:
+                    color[v] = 1 - color[u]
+                    stack.append(int(v))
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
 def random_connected_graph(n: int, p: float, seed: int, bipartite_ok: bool = False) -> Graph:
     """Erdos-Renyi draw, resampled until connected (and non-bipartite unless allowed)."""
     rng = stream(seed, "er-graph")
@@ -30,7 +48,7 @@ def random_connected_graph(n: int, p: float, seed: int, bipartite_ok: bool = Fal
         g = er_graph(n, p, rng)
         if not g.is_connected():
             continue
-        if not bipartite_ok and g.is_bipartite():
+        if not bipartite_ok and is_bipartite(g):
             continue
         return g
     raise RuntimeError("could not draw a suitable random graph")

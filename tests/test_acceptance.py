@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import is_bipartite, random_connected_graph
+from oracles import (
+    dense_eigen_oracle,
+    expected_frequency_regular,
+    mc_expected_frequency,
+    sample_regular_graph,
+)
 from unifilter.basis import (
     angle_law_deviation,
     make_basis,
@@ -37,13 +43,7 @@ from unifilter.datasets import (
 from unifilter.graph import Graph, propagation_operator
 from unifilter.model import TrainConfig, gradient_check, init_filter_model
 from unifilter.rng import stream
-from unifilter.spectral import (
-    dense_eigen_oracle,
-    expected_frequency_regular,
-    mc_expected_frequency,
-    sample_regular_graph,
-    signal_frequency,
-)
+from unifilter.spectral import signal_frequency
 
 warnings.filterwarnings("ignore", message=".*Krylov.*")
 warnings.filterwarnings("ignore", message=".*froze.*")
@@ -206,7 +206,7 @@ def test_energy_trajectory_over_smoothing():
 
     rng = stream(2, "energy")
     g = sample_regular_graph(300, 6, rng)
-    assert not g.is_bipartite()
+    assert not is_bipartite(g)
     X = one_hot_features(300, 40, rng)
     labels = rng.integers(0, 5, 300)
     ds = LabeledDataset(graph=g, features=X, labels=labels, split=None, num_classes=5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import path_graph, random_connected_graph, two_node_edge
+from oracles import sample_regular_graph
 from unifilter import basis as basis_module
 from unifilter.basis import (
     angle_law_deviation,
@@ -17,7 +18,7 @@ from unifilter.basis import (
 )
 from unifilter.graph import propagation_operator
 from unifilter.rng import stream
-from unifilter.spectral import sample_regular_graph, signal_frequency
+from unifilter.spectral import signal_frequency
 
 
 def test_homophily_basis_zero_hops_is_normalized_input(rng):

@@ -3,7 +3,9 @@ artifact layout, and rerun determinism."""
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -403,6 +405,37 @@ def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("case", ["tree-depth", "splits-nodes", "train-hidden", "basis-hops",
+                                  "train-label"])
+def test_impossible_allocations_exit_one_in_one_line(toy_dir, tmp_path, case):
+    # Each case asks numpy for 2^48..2^62 bytes: beyond any machine's address
+    # space, so the request fails whatever the overcommit setting and nothing
+    # is touched, yet below numpy's own size limit, so it fails as MemoryError.
+    out = tmp_path / "out"
+    args = toy_train_args(toy_dir, out)
+    if case == "tree-depth":
+        args = ["tree", "--depth", 50, "--out-dir", out]
+    elif case == "splits-nodes":
+        args = ["splits", "--nodes", 2**50, "--out-dir", out]
+    elif case == "train-hidden":
+        args[args.index("--hidden") + 1] = 10**14
+    elif case == "basis-hops":
+        args = ["basis", "--edges", toy_dir / "edges.txt", "--features",
+                toy_dir / "features.csv", "--mode", "homo", "--hops", 10**13, "--out-dir", out]
+    else:
+        lines = (toy_dir / "labels.txt").read_text().splitlines()
+        (tmp_path / "labels.txt").write_text("\n".join([str(10**13)] + lines[1:]) + "\n")
+        args[args.index("--labels") + 1] = tmp_path / "labels.txt"
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate"), proc.stderr
+    shape, dtype = re.search(r"shape \(([\d, ]+)\) and data type (\w+)", proc.stderr).groups()
+    asked = math.prod(int(s) for s in shape.split(",") if s.strip()) * np.dtype(dtype).itemsize
+    assert 2**48 <= asked <= 2**62, asked
+    assert not (out / "manifest.json").exists()
+
+
 def test_basis_rejects_empty_input_files(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -503,21 +536,26 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag, value, least", [
-    ("train", "--search", -1, 0), ("splits", "--num-splits", 0, 1),
-    ("ablate", "--num-seeds", 0, 1), ("squash", "--num-seeds", 0, 1)])
-def test_count_flags_below_their_least_value_exit_two(toy_dir, tmp_path, command, flag, value,
-                                                      least):
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--search", -1, "search must be >= 0"),
+    ("splits", "--num-splits", 0, "num-splits must be >= 1"),
+    ("ablate", "--num-seeds", 0, "num-seeds must be >= 1"),
+    ("squash", "--num-seeds", 0, "num-seeds must be >= 1"),
+    ("energy", "--tau-grid", "a,b", "tau-grid must be comma-separated float values, got 'a,b'"),
+    ("energy", "--tau-grid", "", "tau-grid must be comma-separated float values, got ''"),
+    ("squash", "--k-grid", "x", "k-grid must be comma-separated int values, got 'x'")])
+def test_bad_count_and_grid_flags_exit_two(toy_dir, tmp_path, command, flag, value, message):
     out = tmp_path / "out"
     args = {
         "train": toy_train_args(toy_dir, out),
         "splits": ["splits", "--nodes", 20, "--out-dir", out],
         "ablate": ["ablate", *toy_data_args(toy_dir), "--out-dir", out],
+        "energy": ["energy", *toy_data_args(toy_dir), "--k-max", 2, "--out-dir", out],
         "squash": ["squash", "--depth", 3, "--out-dir", out],
     }[command]
     proc = run_cli(*args, flag, value)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: {flag[2:]} must be >= {least}\n"
+    assert proc.stderr == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import is_bipartite
+from oracles import sample_regular_graph
 from unifilter.datasets import (
     REGIMES,
     SynthSpec,
@@ -18,7 +20,7 @@ from unifilter.datasets import (
 )
 from unifilter.graph import LabeledDataset, Split, homophily_ratio, load_dataset
 from unifilter.rng import stream, substream_seed
-from unifilter.spectral import dirichlet_energy, sample_regular_graph
+from unifilter.spectral import dirichlet_energy
 
 
 def test_synth_target_equals_base_no_reassignment():
@@ -28,6 +30,19 @@ def test_synth_target_equals_base_no_reassignment():
     assert meta["reassignments"] == 0
     assert np.array_equal(ds.labels, labels)
     assert meta["achieved_h"] == h
+
+
+@pytest.mark.parametrize("n, num_edges, num_classes, message", [
+    (5, 10, 7, "num_classes 7 must lie in [1, n=5]"),
+    (5, 10, 0, "num_classes 0 must lie in [1, n=5]"),
+    (10, 100_000, 2, "num_edges 100000 exceeds the 45 node pairs of n=10"),
+])
+def test_planted_graph_rejects_impossible_sizes_before_drawing(n, num_edges, num_classes,
+                                                               message):
+    with pytest.raises(ValueError) as exc:
+        planted_homophily_graph(n, num_edges, num_classes, 0.5, seed=0)
+    assert str(exc.value) == message
+
 
 
 def test_synth_reaches_targets_within_tolerance():
@@ -213,7 +228,7 @@ def test_energy_trajectory_hop_zero_matches_normalized_input():
 def test_energy_trajectory_homophily_collapse_and_tau_ordering():
     rng = stream(2, "energy")
     g = sample_regular_graph(300, 6, rng)
-    assert not g.is_bipartite()
+    assert not is_bipartite(g)
     X = one_hot_features(300, 40, rng)
     labels = rng.integers(0, 5, 300)
     ds = LabeledDataset(graph=g, features=X, labels=labels, split=None, num_classes=5)

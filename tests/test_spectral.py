@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, triangle, two_node_edge
-from unifilter.graph import propagation_operator
-from unifilter.rng import stream
-from unifilter.spectral import (
+from oracles import (
     aligned_unit_signal,
     dense_eigen_oracle,
-    dirichlet_energy,
     expected_frequency_regular,
     mc_expected_frequency,
     sample_regular_graph,
-    signal_frequency,
 )
+from unifilter.graph import propagation_operator
+from unifilter.rng import stream
+from unifilter.spectral import dirichlet_energy, signal_frequency
 
 
 def test_frequency_constant_signal_zero():
