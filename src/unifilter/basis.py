@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, PropagationOperator, propagation_operator
+from .graph import NO_SELF_LOOPS, Graph, PropagationOperator, propagation_operator
 from .spectral import matrix_frequencies
 
 HOMOPHILY = "homophily"
@@ -32,10 +32,10 @@ EXHAUSTION_TOL = 1e-10
 # Below this cos(theta) the update factor overflows; the exact limit is u_k = v_k.
 COS_UNDERFLOW_TOL = 1e-8
 _ZERO_NORM = 1e-300
-# Bytes of one n x width block array. A walk keeps about ten of them alive, 35
-# MiB above a 326 MiB result at Cora shape. A 127 x 100 tree signal still fits
-# in one block; a 50k x 16 signal splits into widths 9 + 7: the same bits, but
-# its build takes about 15% longer.
+# Bytes of one n x width block array. A uni walk keeps about seven of them
+# alive (7.05 by tracemalloc), 24.7 MiB above a 326 MiB result at Cora shape. A 127 x 100 tree signal still fits in one block; a 50k x 16
+# signal splits into widths 9 + 7: the same bits, but its build takes about 15%
+# longer.
 # Training forms its first layer's input gradient in row chunks of this size.
 _BLOCK_BYTES = 7 << 19
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -94,8 +94,13 @@ def _as_columns(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _column_norms(M: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(M, axis=0)` bit for bit, without the copy its `conj()` makes."""
+    return np.sqrt(np.add.reduce(M * M, axis=0))
+
+
 def _normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(M, axis=0)
+    norms = _column_norms(M)
     dead = norms < _ZERO_NORM
     out = M / np.where(dead, 1.0, norms)
     out[:, dead] = 0.0
@@ -139,7 +144,8 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
     Krylov vector, and u the heterophily vector for target homophily
     `h_hat`. Parts not asked for are None; u needs v, so `h_hat` implies
     `krylov`. Only v_{k-1} and v_{k-2} are kept, plus the block's history
-    under `reortho`. A yielded array is never written again. Degenerate
+    under `reortho`, and a block's state is freed before the next block
+    starts. A yielded array is never written again. Degenerate
     columns, exhaustions and clamp events accumulate in `health`;
     exhaustion warns once, after the last block. `full_width` walks all
     columns as one block, for consumers that reduce across columns.
@@ -157,9 +163,11 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
         h = (x0 if normalize else X[:, cols]) if diffuse else None
         v = u = None
         if krylov:
-            v, vprev2, alive, history = x0, np.zeros_like(x0), ~zero, [x0]
+            v, vprev2, alive = x0, np.zeros_like(x0), ~zero
+            history = [x0] if reortho else None
         if h_hat is not None:
             u, s = x0, x0.copy()
+        del x0
         yield 0, cols, h, v, u
         for k in range(1, hops + 1):
             if diffuse:
@@ -172,18 +180,18 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
                 v = op.apply(vprev)
                 v -= np.sum(v * vprev, axis=0) * vprev
                 v -= np.sum(v * vprev2, axis=0) * vprev2
+                vprev2 = vprev
                 if reortho:
                     for _ in range(2):
                         for w in history:
                             v -= np.sum(v * w, axis=0) * w
-                norms = np.linalg.norm(v, axis=0)
+                norms = _column_norms(v)
                 died = alive & (norms < EXHAUSTION_TOL)
                 health.exhausted += int(np.count_nonzero(died))
                 health.flag(cols, died)
                 alive &= ~died
                 v /= np.where(norms < EXHAUSTION_TOL, 1.0, norms)
                 v[:, ~alive] = 0.0
-                vprev2 = vprev
                 if reortho:
                     history.append(v)
             if h_hat is not None:
@@ -192,45 +200,69 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
                 else:
                     t, clipped = update_factor(np.sum(s * u, axis=0), k, c)
                     health.clamps += int(np.count_nonzero(clipped & alive))
-                    unew = s / k + t * v
-                    norms = np.linalg.norm(unew, axis=0)
+                    # s / k + t * v, summed into the first term's array.
+                    unew = s / k
+                    unew += t * v
+                    norms = _column_norms(unew)
                     unew /= np.where(norms < _ZERO_NORM, 1.0, norms)
                 # Exhausted columns freeze at their last valid vector.
-                u = np.where(alive, unew, u)
+                u = unew if alive.all() else np.where(alive, unew, u)
+                del unew
                 s += u
             yield k, cols, h, v, u
+        # Nothing of this block is read again: free it before the next x0.
+        h = v = u = vprev = vprev2 = s = history = None
     if health.exhausted:
         what = ("froze after Krylov exhaustion" if h_hat is not None
                 else "exhausted their Krylov subspace")
         warnings.warn(f"{health.exhausted} column(s) {what}", stacklevel=_outside_stacklevel())
 
 
-def _blend(h: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
-    """The uni hop tau*h + (1-tau)*u; tau=1 and tau=0 give h and u themselves."""
-    return h if tau == 1.0 else u if tau == 0.0 else tau * h + (1.0 - tau) * u
+def _hop_rows(part: np.ndarray, rows: np.ndarray | slice = slice(None),
+              out: np.ndarray | None = None) -> np.ndarray:
+    """`part[rows]`, copied into `out` when one is given."""
+    if out is None:
+        return part[rows]
+    out[...] = part[rows]
+    return out
+
+
+def _blend(h: np.ndarray, u: np.ndarray, tau: float, rows: np.ndarray | slice = slice(None),
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The rows `rows` of the uni hop tau*h + (1-tau)*u, written into `out`
+    when one is given; tau=1 and tau=0 give the rows of h and u themselves.
+    The second term is added into the first's array, so one temporary is
+    made; h and u are never written."""
+    if tau == 1.0 or tau == 0.0:
+        return _hop_rows(h if tau == 1.0 else u, rows, out)
+    out = np.multiply(tau, h[rows], out=out)
+    out += (1.0 - tau) * u[rows]
+    return out
 
 
 def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
             reortho: bool = False, normalize: bool = True) -> tuple:
-    """What a basis of `kind` keeps of each hop, mix(h, v, u), and the `_walk`
-    options that produce those parts. Construction and `walk_spectrum` share it."""
+    """What a basis of `kind` keeps of each hop, as `mix(h, v, u[, rows[, out]])`:
+    its rows `rows` (all by default), written into `out` when one is given. And
+    the `_walk` options that produce those parts. Construction and
+    `walk_spectrum` share it."""
     if kind in (HETEROPHILY, UNI) and h_hat is None:
         raise ValueError(f"kind {kind!r} needs h_hat")
     if kind in (HETEROPHILY, UNI) and not 0.0 <= h_hat <= 1.0:
         raise ValueError("h_hat must lie in [0, 1]")
     if kind == HOMOPHILY:
-        return (lambda h, v, u: h), dict(diffuse=True, normalize=normalize)
+        return (lambda h, v, u, *at: _hop_rows(h, *at)), dict(diffuse=True, normalize=normalize)
     if kind == ORTHONORMAL:
-        return (lambda h, v, u: v), dict(krylov=True, reortho=reortho)
+        return (lambda h, v, u, *at: _hop_rows(v, *at)), dict(krylov=True, reortho=reortho)
     if kind == HETEROPHILY:
-        return (lambda h, v, u: u), dict(reortho=reortho, h_hat=h_hat)
+        return (lambda h, v, u, *at: _hop_rows(u, *at)), dict(reortho=reortho, h_hat=h_hat)
     if kind != UNI:
         raise ValueError(f"unknown basis kind {kind!r}")
     if tau is None:
         raise ValueError("kind 'uni' needs tau")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    return (lambda h, v, u: _blend(h, u, tau)), dict(
+    return (lambda h, v, u, *at: _blend(h, u, tau, *at)), dict(
         diffuse=tau > 0.0, normalize=normalize, reortho=reortho,
         h_hat=None if tau == 1.0 else h_hat)
 
@@ -284,7 +316,8 @@ def _node_major_basis(op: PropagationOperator, X: np.ndarray, rows: np.ndarray |
     X = _as_columns(X)
     out = np.empty((np.arange(X.shape[0])[rows].size, hops + 1, X.shape[1]), dtype=np.float64)
     for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
-        out[:, k, cols] = mix(h, v, u)[rows]
+        mix(h, v, u, rows, out[:, k, cols])
+        del h, v, u  # so that the walk can free each part when it moves on
     return out
 
 
@@ -352,12 +385,13 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
         raise ValueError("hops must be >= 0")
     mix, recurrences = _recipe(kind, **recipe)
     X = _as_columns(X)
-    freq_op = propagation_operator(op.graph)
+    freq_op = op if op.kind == NO_SELF_LOOPS else propagation_operator(op.graph)
     freqs = np.empty((hops + 1, X.shape[1]))
     health = _Health()
     for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
         keep = _usable(X.shape[1], health.degenerate)[cols]
         freqs[k, cols] = _block_frequencies(freq_op, mix(h, v, u), keep)
+        del h, v, u
     return _mean_frequencies(freqs, _usable(X.shape[1], health.degenerate))
 
 

@@ -200,7 +200,18 @@ def planted_homophily_graph(
         earlier.append(u)
         earlier_by_class[int(labels[u])].append(u)
 
+    # Each top-up loop below draws until its count is met; when the pairs the
+    # drawn labels leave cannot meet it, it could only exhaust its tries.
     same_needed = int(round(target_h * num_edges))
+    same_pairs = sum(c.size * (c.size - 1) // 2 for c in by_class)
+    same_added = min(max(same_needed - same_cnt, 0), num_edges - len(edges))
+    if same_cnt + same_added > same_pairs:
+        raise ValueError(f"{same_cnt + same_added} same-class edges needed, but the drawn "
+                         f"classes have only {same_pairs} same-class pairs")
+    cross_needed = num_edges - same_cnt - same_added
+    if cross_needed > pairs - same_pairs:
+        raise ValueError(f"{cross_needed} cross-class edges needed, but the drawn "
+                         f"classes have only {pairs - same_pairs} cross-class pairs")
     tries = 0
     while same_cnt < same_needed and len(edges) < num_edges:
         tries += 1

@@ -176,9 +176,10 @@ def _combine(model: FilterModel, N: np.ndarray) -> np.ndarray:
 def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
                   rng: np.random.Generator | None):
     """Logits from the combined hops `z`, plus what the backward pass reads:
-    each layer's input and its dropout mask (or None). Masks and ReLUs apply
-    in place, `z` too, and no pre-activation is kept: a ReLU output is
-    positive exactly where its input is, so a layer input carries its mask."""
+    each layer's input and its dropout mask (or None). Masks, biases and
+    ReLUs apply in place, masks to `z` too, and no pre-activation is kept: a
+    ReLU output is positive exactly where its input is, so a layer input
+    carries its mask."""
     nlayers = len(model.weights)
     inputs, masks = [], []
     act = z
@@ -192,7 +193,8 @@ def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
             act *= mask
         inputs.append(act)
         masks.append(mask)
-        h = act @ W + b
+        h = act @ W
+        h += b
         if i < nlayers - 1:
             act = np.maximum(h, 0.0, out=h)
     return h, (inputs, masks)
@@ -249,21 +251,29 @@ def _backward(model: FilterModel, N: np.ndarray, y: np.ndarray, grad: _Grad,
     Its gradient is written into `grad.vec`. The cache is read through row
     views and the hop-weight gradient runs over N[:y.size], so rows after
     those cost nothing here. The first layer's input gradient is made in
-    row chunks of `_blocks`, never whole."""
+    row chunks of `_blocks`, never whole.
+
+    The cache is consumed: each layer input leaves it once read for the
+    last time, so a layer's activations and the gradient at them are never
+    alive together. Every caller passes a fresh one."""
     r = y.size
     inputs, masks = cache
     value, gout = _cross_entropy(logits[:r], y)
     for i in range(len(model.weights) - 1, 0, -1):
         grad.weights[i][...] = inputs[i][:r].T @ gout
         grad.biases[i][...] = gout.sum(axis=0)
+        # The ReLU mask: the input is positive where the pre-activation was,
+        # but at dropped entries, whose gradient is already +-0 and stays so.
+        relu = inputs[i][:r] > 0.0
+        inputs[i] = None
         gout = gout @ model.weights[i].T
         if masks[i] is not None:
             gout *= masks[i][:r]
-        # The ReLU mask: the input is positive where the pre-activation was,
-        # but at dropped entries, whose gradient is already +-0 and stays so.
-        gout *= inputs[i][:r] > 0.0
+            masks[i] = None
+        gout *= relu
     grad.weights[0][...] = inputs[0][:r].T @ gout
     grad.biases[0][...] = gout.sum(axis=0)
+    inputs[0] = None
     # Each row's (K+1, d) matrix times its d-vector, summed over the rows in
     # order, as np.sum over axis 0 sums them: each chunk's products follow the
     # running total prods[0], which starts at -0.0, the identity of addition.

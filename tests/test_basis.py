@@ -401,6 +401,27 @@ def test_unibasis_peak_memory_stays_near_its_result(monkeypatch):
     assert peak <= 1.3 * b.matrices.nbytes, peak / b.matrices.nbytes
 
 
+def test_unibasis_walk_holds_few_block_arrays(monkeypatch):
+    # Above the result, the uni walk holds its state (h, v, the Krylov vector
+    # two hops back, u and the running sum s), the next hop's arrays while
+    # they are made, and one temporary for the blend written into the
+    # result. No block array outlives its last read, and nothing of a block
+    # is alive when the next one starts. Counted in block arrays (2000 x 100).
+    g = random_connected_graph(2000, 0.004, seed=24)
+    op = propagation_operator(g)
+    X = stream(24, "sig").standard_normal((2000, 600))
+    block = 100 * 8 * 2000
+    monkeypatch.setattr(basis_module, "_BLOCK_BYTES", block)
+    assert len(basis_module._blocks(2000, 600)) == 6
+    tracemalloc.start()
+    try:
+        b = make_basis(op, X, 10, "uni", h_hat=0.3, tau=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - b.matrices.nbytes) / block <= 8.5, (peak - b.matrices.nbytes) / block
+
+
 def test_exhaustion_warning_names_the_callers_file():
     # Whatever entry point builds the basis, the warning points at the first
     # frame outside the package: this file, on the line of the call.

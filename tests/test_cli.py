@@ -265,6 +265,17 @@ def test_synth_command_achieves_target(tmp_path):
     assert meta["achieved_h"] == achieved
 
 
+def test_synth_with_unreachable_planted_homophily_exits_one_in_one_line(tmp_path):
+    out = tmp_path / "synth"
+    proc = run_cli("synth", "--target", 0.5, "--planted-nodes", 200,
+                   "--planted-edges", 19900, "--planted-classes", 2,
+                   "--planted-h", 0.9, "--seed", 0, "--out-dir", out)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ("error: 17910 same-class edges needed, but the drawn classes "
+                           "have only 9909 same-class pairs\n"), proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
 def test_energy_command_rows(tmp_path):
     tree = tmp_path / "tree"
     assert run_cli("tree", "--depth", 5, "--out-dir", tree).returncode == 0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_planted_graph_rejects_impossible_sizes_before_drawing(n, num_edges, num
         planted_homophily_graph(n, num_edges, num_classes, 0.5, seed=0)
     assert str(exc.value) == message
 
+
+@pytest.mark.parametrize("target_h, message", [
+    (0.9, "17910 same-class edges needed, but the drawn classes have only 9909 same-class pairs"),
+    (0.1, "17910 cross-class edges needed, but the drawn classes have only 9991 cross-class pairs"),
+])
+def test_planted_graph_rejects_unreachable_class_counts_at_once(target_h, message):
+    # All 19900 pairs of 200 nodes in 2 classes: about half are same-class, so
+    # neither 90% nor 10% of them can be. The top-up loops used to retry for
+    # seconds and then raise a RuntimeError.
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        planted_homophily_graph(200, 19900, 2, target_h, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == message
 
 
 def test_synth_reaches_targets_within_tolerance():

@@ -247,9 +247,9 @@ def test_train_loss_non_increasing_with_small_lr():
 def test_epoch_memory_is_the_combined_hops_plus_a_few_blocks(monkeypatch, d, hidden):
     # Above the basis, an epoch holds the combined hops z over the train and
     # val rows, row chunks of the first layer's gradient, the model, and the
-    # hidden layer's slabs, each hidden/d z: its activations, the gradient at
-    # them, and the product before the bias is added. No (train rows, d)
-    # gradient and no kept pre-activations. A deterministic count.
+    # hidden layer's slabs, each hidden/d z: its activations, and then the
+    # gradient at them. No (train rows, d) gradient and no kept
+    # pre-activations. A deterministic count.
     g, labels = planted_homophily_graph(600, 1800, 3, 0.3, seed=5)
     ds = LabeledDataset(graph=g, features=stream(5, "features").standard_normal((600, d)),
                         labels=labels, split=make_splits(600, "60/20/20", 1, 5)[0],
@@ -265,6 +265,30 @@ def test_epoch_memory_is_the_combined_hops_plus_a_few_blocks(monkeypatch, d, hid
     finally:
         tracemalloc.stop()
     assert peak <= (1.25 + 2.5 * hidden / d) * z, peak / z
+
+
+def test_epoch_holds_one_hidden_slab_at_a_time(monkeypatch):
+    # A wide hidden layer over few features: the hidden slabs (rows x hidden)
+    # set the epoch's peak. The bias is added in place, and the backward pass
+    # drops a layer's activations, keeping a bool ReLU mask, before the
+    # gradient at them is made. So above 1.25 z about one slab is alive.
+    d, hidden = 4, 256
+    g, labels = planted_homophily_graph(600, 1800, 3, 0.3, seed=5)
+    ds = LabeledDataset(graph=g, features=stream(5, "features").standard_normal((600, d)),
+                        labels=labels, split=make_splits(600, "60/20/20", 1, 5)[0],
+                        num_classes=3)
+    cfg = TrainConfig(hops=4, hidden=hidden, max_epochs=3, patience=3, h_hat=0.3)
+    basis = _training_basis(ds, cfg)
+    monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 8 * 8 * max(basis.shape[1:]))
+    z = (ds.split.train.size + ds.split.val.size) * d * 8
+    tracemalloc.start()
+    try:
+        train(ds, cfg, basis=basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slabs = (peak - 1.25 * z) / (hidden / d * z)
+    assert slabs <= 1.5, slabs
 
 
 def test_train_deterministic_bitwise():

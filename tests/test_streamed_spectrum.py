@@ -84,6 +84,24 @@ def test_walk_spectrum_equals_the_built_basis_spectrum(monkeypatch, kind, recipe
     assert split[0] == split[1] == whole[0]
 
 
+@pytest.mark.parametrize("loops, builds", [("no-self-loops", 0), ("self-loops", 1)])
+def test_walk_spectrum_reuses_a_frequency_operator(monkeypatch, loops, builds):
+    # Frequencies are read through the operator without self-loops; a walk
+    # over that operator already holds it, and only a walk over the other
+    # kind builds one.
+    g = random_connected_graph(40, 0.15, seed=37)
+    op = propagation_operator(g, loops)
+    X = _signal(g, 9, 37)
+    want = _both(op, g, X, 5, UNI, {"h_hat": 0.7, "tau": 0.5})[1]
+    calls = []
+    monkeypatch.setattr(basis_module, "propagation_operator",
+                        lambda *a: calls.append(a) or propagation_operator(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert walk_spectrum(op, X, 5, UNI, h_hat=0.7, tau=0.5) == want
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("kind, recipe", RECIPES, ids=lambda r: str(r))
 def test_basis_spectrum_keeps_its_bits_with_two_or_more_usable_columns(kind, recipe):
     g = random_connected_graph(60, 0.1, seed=36)
