@@ -7,13 +7,15 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 NO_SELF_LOOPS = "no-self-loops"
 SELF_LOOPS = "self-loops"
@@ -153,23 +155,76 @@ def _parse_lines(path: Path, n: int) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _load_sparsetools():
+    """scipy's compiled sparse kernels (`csr_matvec`, `csr_matvecs`), loaded
+    from their extension file without importing scipy.sparse, whose Python
+    layer imports numpy.f2py, numpy.testing and numpy.ma and would dominate
+    the start-up of a short run; where the file is not found, or scipy.sparse
+    is loaded already, scipy.sparse's own module, which holds the same kernels."""
+    name = "scipy.sparse._sparsetools"
+    spec = None if name in sys.modules else importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or []) if spec else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = str(Path(root, "sparse", "_sparsetools" + suffix))
+            if Path(path).is_file():
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                # CPython files the module in sys.modules under a package that
+                # is not imported; a later `import scipy.sparse` loads its own.
+                sys.modules.pop(name, None)
+                return module
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+_SPARSETOOLS = _load_sparsetools()
+
+
 @dataclass
 class PropagationOperator:
     """One-hop diffusion P = I - L (or I - L_hat when self-loops are added).
 
-    Never materialized densely; `apply` runs a sparse matrix product, so a
-    single application costs O(m + n).
+    P is held in compressed sparse row form: row i has the values
+    `data[indptr[i]:indptr[i+1]]` at the columns `indices[indptr[i]:indptr[i+1]]`,
+    sorted. `indptr` and `indices` are int32 unless nnz passes int32's range,
+    as scipy stores them. Never materialized densely; `apply` is one call of
+    scipy's compiled CSR kernel, so a single application costs O(m + n).
     """
 
     kind: str
     graph: Graph
-    _matrix: sp.csr_matrix = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # The kernels index with these arrays unchecked, so an operator built
+        # by hand must hold an n x n CSR structure before any product runs.
+        n, p = self.graph.n, self.indptr
+        if (p.shape != (n + 1,) or p[0] != 0 or np.any(p[1:] < p[:-1])
+                or self.indices.shape != (p[-1],) or self.data.shape != (p[-1],)
+                or (p[-1] and (self.indices.min() < 0 or self.indices.max() >= n))):
+            raise ValueError(f"indptr, indices and data do not form a {n} x {n} CSR matrix")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """P @ x for a signal of shape (n,) or (n, c), with the bits of scipy's
+        `csr_matrix @ x`: the same kernels, adding into a zeroed output."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.graph.n:
-            raise ValueError(f"signal has {x.shape[0]} rows, graph has {self.graph.n} nodes")
-        return self._matrix @ x
+        if x.ndim not in (1, 2):
+            raise ValueError(f"signal must have shape (n,) or (n, c), not {x.shape}")
+        n = self.graph.n
+        if x.shape[0] != n:
+            raise ValueError(f"signal has {x.shape[0]} rows, graph has {n} nodes")
+        out = np.zeros(x.shape)
+        if x.ndim == 1 or x.shape[1] == 1:
+            _SPARSETOOLS.csr_matvec(n, n, self.indptr, self.indices, self.data,
+                                    x.ravel(), out.ravel())
+        else:
+            _SPARSETOOLS.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data,
+                                     x.ravel(), out.ravel())
+        return out
 
 
 def propagation_operator(g: Graph, kind: str = NO_SELF_LOOPS) -> PropagationOperator:
@@ -184,12 +239,18 @@ def propagation_operator(g: Graph, kind: str = NO_SELF_LOOPS) -> PropagationOper
     else:
         deff = g.degrees.astype(np.float64) + 1.0
     dinv = 1.0 / np.sqrt(deff)
-    rows = np.repeat(np.arange(g.n), g.degrees)
-    data = dinv[rows] * dinv[g.indices]
-    mat = sp.csr_matrix((data, g.indices.copy(), g.indptr.copy()), shape=(g.n, g.n))
+    indptr, indices, degrees = g.indptr, g.indices, g.degrees
     if kind == SELF_LOOPS:
-        mat = (mat + sp.diags(dinv * dinv)).tocsr()
-    return PropagationOperator(kind=kind, graph=g, _matrix=mat)
+        # Row i's diagonal goes after its neighbours below i: in O(nnz), the
+        # entries and order of scipy's sum A + diag(dinv**2).
+        rows = np.repeat(np.arange(g.n), degrees)
+        at = indptr[:-1] + np.bincount(rows[indices < rows], minlength=g.n)
+        indices = np.insert(indices, at, np.arange(g.n))
+        indptr, degrees = indptr + np.arange(g.n + 1), degrees + 1
+    data = np.repeat(dinv, degrees) * dinv[indices]
+    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
+    return PropagationOperator(kind=kind, graph=g, indptr=indptr.astype(index),
+                               indices=indices.astype(index), data=data)
 
 
 def homophily_ratio(g: Graph, labels: np.ndarray) -> float:

@@ -10,6 +10,7 @@ the package itself.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from unifilter.graph import Graph, PropagationOperator, propagation_operator
 from unifilter.rng import stream
@@ -20,7 +21,8 @@ REGULAR_MAX_RESTARTS = 500
 
 def dense_operator(op: PropagationOperator) -> np.ndarray:
     """The operator as a dense n x n array; O(n^2) memory."""
-    return op._matrix.toarray()
+    n = op.graph.n
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n)).toarray()
 
 
 def dense_eigen_oracle(g: Graph, max_nodes: int = DEFAULT_EIGEN_CAP) -> tuple[np.ndarray, np.ndarray]:

@@ -764,3 +764,18 @@ def test_thread_cap_applies_before_numpy_loads():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_cold_start_never_imports_scipy_sparse(toy_dir, tmp_path):
+    """A `train` run loads only scipy's compiled CSR kernel, never the Python
+    layer of scipy.sparse, nor numpy.f2py, which that layer imports."""
+    args = [str(a) for a in toy_train_args(toy_dir, tmp_path / "run")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, unifilter.cli\n"
+         f"code = unifilter.cli.main({args!r})\n"
+         "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py'))))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

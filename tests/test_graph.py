@@ -6,6 +6,7 @@ from oracles import dense_operator
 from unifilter import graph as graph_module
 from unifilter.graph import (
     Graph,
+    PropagationOperator,
     Split,
     estimate_homophily,
     homophily_ratio,
@@ -245,3 +246,33 @@ def test_load_graph_builds_from_its_keys_without_checking_them_again(tmp_path, m
     for a in ("indptr", "indices", "degrees"):
         assert np.array_equal(getattr(g, a), getattr(want, a)), a
         assert getattr(g, a).dtype == getattr(want, a).dtype, a
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.zeros(4), "signal has 4 rows, graph has 3 nodes"),
+    (np.zeros((3, 2, 2)), r"signal must have shape \(n,\) or \(n, c\), not \(3, 2, 2\)"),
+    (np.float64(1.0), r"signal must have shape \(n,\) or \(n, c\), not \(\)"),
+])
+def test_apply_rejects_a_misshapen_signal_in_one_line(x, message):
+    op = propagation_operator(triangle())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        op.apply(x)
+
+
+@pytest.mark.parametrize("edit", ["column out of range", "negative column", "short indptr",
+                                  "falling indptr", "data too long"])
+def test_hand_built_operator_with_a_broken_csr_structure_is_rejected(edit):
+    op = propagation_operator(triangle())
+    indptr, indices, data = op.indptr.copy(), op.indices.copy(), op.data.copy()
+    if edit == "column out of range":
+        indices[-1] = 3
+    elif edit == "negative column":
+        indices[0] = -1
+    elif edit == "short indptr":
+        indptr = indptr[:-1]
+    elif edit == "falling indptr":
+        indptr[1], indptr[2] = indptr[2], indptr[1]
+    else:
+        data = np.append(data, 1.0)
+    with pytest.raises(ValueError, match="^indptr, indices and data do not form a 3 x 3 CSR matrix$"):
+        PropagationOperator(op.kind, op.graph, indptr, indices, data)
