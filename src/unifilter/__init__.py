@@ -56,12 +56,9 @@ from .model import (
     FilterModel,
     TrainConfig,
     TrainReport,
-    evaluate,
-    forward,
     gradient_check,
     init_filter_model,
     load_checkpoint,
-    loss,
     random_search,
     save_checkpoint,
     train,

@@ -33,9 +33,9 @@ EXHAUSTION_TOL = 1e-10
 COS_UNDERFLOW_TOL = 1e-8
 _ZERO_NORM = 1e-300
 # Bytes of one n x width block array. A uni walk keeps about seven of them
-# alive (7.05 by tracemalloc), 24.7 MiB above a 326 MiB result at Cora shape. A 127 x 100 tree signal still fits in one block; a 50k x 16
-# signal splits into widths 9 + 7: the same bits, but its build takes about 15%
-# longer.
+# alive (7.05 by tracemalloc), 24.7 MiB above a 326 MiB result at Cora shape.
+# A 127 x 100 tree signal still fits in one block; a 50k x 16 signal splits
+# into widths 9 + 7: the same bits, but its build takes about 15% longer.
 # Training forms its first layer's input gradient in row chunks of this size.
 _BLOCK_BYTES = 7 << 19
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep

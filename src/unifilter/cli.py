@@ -104,7 +104,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         try:
             tau = _check_unit(tau_preset(args.tau_preset), "tau")
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
     ds = _load_dataset_args(args)
     cfg = TrainConfig(
         hops=args.hops, tau=tau, lr=args.lr, weight_decay=args.weight_decay,
@@ -176,8 +176,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.hops is not None and args.hops != cfg.hops:
         raise UsageError(f"checkpoint was trained with K={cfg.hops}, got --hops {args.hops}")
     if model.w.shape[0] != cfg.hops + 1:
-        raise UsageError("checkpoint weight vector does not match its hop count")
+        raise ValueError(f"{args.checkpoint}: {model.w.shape[0]} hop weights, but config hops "
+                         f"{cfg.hops} needs {cfg.hops + 1}")
     ds = _load_dataset_args(args)
+    if model.weights[0].shape[0] != ds.features.shape[1]:
+        raise ValueError(f"{args.checkpoint}: first layer takes {model.weights[0].shape[0]} "
+                         f"features, {args.features} has {ds.features.shape[1]} columns")
     freqs = spectrum(ds.graph, ds.features, cfg)
     _write_table(_outdir(args) / "spectrum.csv", "hop,frequency,weight",
                  [(k, freqs[k], float(model.w[k])) for k in range(cfg.hops + 1)])

@@ -200,17 +200,6 @@ def _forward_pass(model: FilterModel, z: np.ndarray, training: bool,
     return h, (inputs, masks)
 
 
-def forward(
-    model: FilterModel,
-    basis: BasisTensor,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Logits for every node; softmax lives inside the loss only."""
-    logits, _ = _forward_pass(model, _combine(model, _rows(model, basis)), training, rng)
-    return logits
-
-
 class _Grad:
     """The gradient vector every backward pass of one model writes into, laid
     out like `model.params`, and its views."""
@@ -236,12 +225,6 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray,
     delta[rows, y] -= 1.0
     delta /= y.size
     return value, delta
-
-
-def loss(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Mean negative log-softmax of the true class over the masked nodes."""
-    idx = _mask_indices(mask, logits.shape[0])
-    return _cross_entropy(logits[idx], np.asarray(labels)[idx], grad=False)[0]
 
 
 def _backward(model: FilterModel, N: np.ndarray, y: np.ndarray, grad: _Grad,
@@ -301,51 +284,29 @@ def _slab_loss(model: FilterModel, N: np.ndarray, y: np.ndarray) -> float:
                           grad=False)[0]
 
 
-def _rows(model: FilterModel, basis: BasisTensor,
-          idx: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """The rows `idx` of `basis` as a node-major slab, all of them uncopied by
-    default, once `basis` is checked to fit `model`."""
-    M = basis.matrices
-    if M.shape[1] != model.w.shape[0]:
-        raise ValueError(f"basis has {M.shape[1]} hop matrices, model expects {model.w.shape[0]}")
-    if basis.columns != model.weights[0].shape[0]:
-        raise ValueError(
-            f"basis has {basis.columns} columns, first layer expects {model.weights[0].shape[0]}"
-        )
-    return M[idx]
-
-
-def _loss_and_grads(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
-                    mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss over the nodes `mask` and its gradient, laid out like `model.params`.
-    The rows are gathered into a slab and run through `train`'s forward and
-    backward passes."""
-    idx = _mask_indices(mask, basis.n)
-    N, y = _rows(model, basis, idx), np.asarray(labels)[idx]
+def _loss_and_grads(model: FilterModel, N: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The loss over the node-major slab N, whose labels are `y`, and its
+    gradient, laid out like `model.params`, from `train`'s forward and
+    backward passes. N must be (y.size, K+1, d) for the model's K and d, and
+    hold a row."""
+    want = (y.size, model.w.size, model.weights[0].shape[0])
+    if N.shape != want or y.shape != want[:1] or not y.size:
+        raise ValueError(f"slab has shape {N.shape} and labels {y.shape}; the model's hop "
+                         f"weights and input columns expect {want}")
     grad = _Grad(model)
     value = _backward(model, N, y, grad, *_forward_pass(model, _combine(model, N), False, None))
     return value, grad.vec
 
 
-def evaluate(model: FilterModel, basis: BasisTensor, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Accuracy of argmax predictions over the mask; ties go to the lowest class id."""
-    logits = forward(model, basis)
-    idx = _mask_indices(mask, logits.shape[0])
-    pred = np.argmax(logits[idx], axis=1)
-    return float(np.mean(pred == np.asarray(labels)[idx]))
-
-
-def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
-                   mask: np.ndarray) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(model: FilterModel, N: np.ndarray, y: np.ndarray) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the loss over the node-major slab N, whose labels are `y`.
 
     Relative error uses |a - n| / max(|a| + |n|, 1e-6). Both sides run the
-    arithmetic of `train` on the rows `mask` gathered into a slab. Dropout
-    is disabled; weight decay is an optimizer concern and excluded here.
+    arithmetic of `train`. Dropout is disabled; weight decay is an optimizer
+    concern and excluded here.
     """
-    _, analytic = _loss_and_grads(model, basis, labels, mask)
-    idx = _mask_indices(mask, basis.n)
-    N, y = _rows(model, basis, idx), np.asarray(labels)[idx]
+    _, analytic = _loss_and_grads(model, N, y)
     theta = model.params
     worst = 0.0
     for i in range(theta.size):
@@ -356,8 +317,10 @@ def gradient_check(model: FilterModel, basis: BasisTensor, labels: np.ndarray,
         down = _slab_loss(model, N, y)
         theta[i] = orig
         numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
-        worst = max(worst, abs(analytic[i] - numeric) / max(abs(analytic[i]) + abs(numeric), 1e-6))
-    return worst
+        # np.maximum keeps a NaN error, where max() would keep the running value.
+        worst = np.maximum(worst, abs(analytic[i] - numeric)
+                           / max(abs(analytic[i]) + abs(numeric), 1e-6))
+    return float(worst)
 
 
 class _Adam:

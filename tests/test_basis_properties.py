@@ -135,7 +135,7 @@ def test_slab_loss_and_gradient_equal_the_all_rows_computation(case, layers, cla
     model.w = model.w + 0.3 * rng.standard_normal(K + 1)
     labels = rng.integers(0, classes, 24)
     idx = _partial_split(seed).train
-    got_loss, got = _loss_and_grads(model, basis, labels, idx)
+    got_loss, got = _loss_and_grads(model, basis.matrices[idx], labels[idx])
     want_loss, want = all_rows_loss_and_grads(model, _hop_major(basis), labels, idx)
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

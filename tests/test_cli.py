@@ -554,7 +554,9 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     ("squash", "--num-seeds", 0, "num-seeds must be >= 1"),
     ("energy", "--tau-grid", "a,b", "tau-grid must be comma-separated float values, got 'a,b'"),
     ("energy", "--tau-grid", "", "tau-grid must be comma-separated float values, got ''"),
-    ("squash", "--k-grid", "x", "k-grid must be comma-separated int values, got 'x'")])
+    ("squash", "--k-grid", "x", "k-grid must be comma-separated int values, got 'x'"),
+    ("train", "--tau-preset", "nope", "no tau preset for 'nope'; known: ['actor', 'chameleon', "
+     "'citeseer', 'cora', 'genius', 'ogbn-arxiv', 'penn94', 'pubmed', 'squirrel']")])
 def test_bad_count_and_grid_flags_exit_two(toy_dir, tmp_path, command, flag, value, message):
     out = tmp_path / "out"
     args = {
@@ -693,7 +695,7 @@ def test_spectrum_rejects_a_bad_checkpoint_config_in_one_line(toy_dir, toy_run, 
 
 
 @pytest.mark.parametrize("case", ["no-layers", "no-w", "short-weights", "broken-chain",
-                                  "non-finite", "not-json"])
+                                  "non-finite", "not-json", "hop-count", "feature-width"])
 def test_spectrum_rejects_a_bad_checkpoint_payload_in_one_line(toy_dir, toy_run, tmp_path,
                                                                case):
     ckpt = json.loads((toy_run / "checkpoint.json").read_text())
@@ -713,6 +715,14 @@ def test_spectrum_rejects_a_bad_checkpoint_payload_in_one_line(toy_dir, toy_run,
     elif case == "non-finite":
         second["bias"][0] = float("nan")
         expected = "checkpoint holds a non-finite value"
+    elif case == "hop-count":
+        ckpt["w"].pop()
+        expected = "3 hop weights, but config hops 3 needs 4"
+    elif case == "feature-width":
+        # A consistent checkpoint for 5 feature columns; the toy file has 2.
+        first["weights"] += [0.0] * (3 * first["cols"])
+        first["rows"] += 3
+        expected = f"first layer takes 5 features, {toy_dir / 'features.csv'} has 2 columns"
     else:
         expected = "Expecting value"
     path = tmp_path / "checkpoint.json"

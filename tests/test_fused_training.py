@@ -421,7 +421,8 @@ def test_train_row_loss_and_gradient_equal_the_all_rows_computation(dataset, cas
     initial = init_filter_model(cfg.hops, built.columns, cfg.hidden, cfg.layers,
                                 dataset.num_classes, cfg.dropout, stream(cfg.seed, "init"))
     for model in (initial, trained):
-        got_loss, got = model_module._loss_and_grads(model, built, dataset.labels, tidx)
+        got_loss, got = model_module._loss_and_grads(model, built.matrices[tidx],
+                                                     dataset.labels[tidx])
         want_loss, want = _loss_and_grads(model, _hop_major(built), dataset.labels, tidx)
         assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

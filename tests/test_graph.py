@@ -13,7 +13,6 @@ from unifilter.graph import (
     load_graph,
     propagation_operator,
 )
-from unifilter.model import loss
 from unifilter.rng import stream
 
 
@@ -134,7 +133,9 @@ def test_node_sets_are_integer_index_arrays():
         with pytest.raises(ValueError, match="mask must be an integer index array"):
             estimate_homophily(g, np.array([0, 0, 1]), ids)
         with pytest.raises(ValueError, match="mask must be an integer index array"):
-            loss(np.zeros((3, 2)), np.zeros(3, dtype=int), ids)
+            graph_module._mask_indices(ids, g.n)
+    with pytest.raises(ValueError, match="empty mask"):
+        graph_module._mask_indices(np.array([], dtype=int), g.n)
 
 
 def test_estimate_homophily_fallback():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,22 +6,21 @@ import pytest
 
 from conftest import random_connected_graph
 from unifilter import basis as basis_module
-from unifilter.basis import BasisTensor, make_basis
+from unifilter.basis import make_basis
 from unifilter.graph import Graph, LabeledDataset, propagation_operator
 from unifilter.datasets import make_splits, planted_homophily_graph
 from unifilter.model import (
-    FilterModel,
     TrainConfig,
-    evaluate,
-    forward,
     gradient_check,
     init_filter_model,
     load_checkpoint,
-    loss,
     save_checkpoint,
     train,
     _combine,
+    _cross_entropy,
+    _forward_pass,
     _loss_and_grads,
+    _slab_loss,
     _training_basis,
 )
 from unifilter.rng import stream
@@ -59,7 +59,7 @@ def test_forward_one_hot_hop_weight():
     model = init_filter_model(4, 3, 8, 1, 3, 0.0, rng)
     model.w = np.zeros(5)
     model.w[0] = 1.0
-    logits = forward(model, basis)
+    logits = _forward_pass(model, _combine(model, basis.matrices), False, None)[0]
     np.testing.assert_allclose(
         logits, basis.matrices[:, 0] @ model.weights[0] + model.biases[0], atol=1e-14)
 
@@ -69,19 +69,26 @@ def test_forward_zero_weights_broadcast_bias():
     model = init_filter_model(4, 3, 8, 2, 3, 0.0, stream(2, "init"))
     model.w = np.zeros(5)
     model.biases[0][:] = 0.7
-    logits = forward(model, basis)
+    logits = _forward_pass(model, _combine(model, basis.matrices), False, None)[0]
     expected = np.maximum(model.biases[0], 0.0) @ model.weights[1] + model.biases[1]
     np.testing.assert_allclose(logits, np.tile(expected, (20, 1)), atol=1e-14)
 
 
-def test_forward_shape_mismatch_names_dimensions():
+def test_loss_and_grads_shape_mismatch_names_dimensions():
     _, basis = small_basis()
+    labels = np.zeros(20, dtype=int)
     model = init_filter_model(3, 3, 8, 2, 3, 0.0, stream(3, "init"))
     with pytest.raises(ValueError, match="hop"):
-        forward(model, basis)
+        _loss_and_grads(model, basis.matrices, labels)
     model = init_filter_model(4, 7, 8, 2, 3, 0.0, stream(3, "init"))
     with pytest.raises(ValueError, match="columns"):
-        forward(model, basis)
+        _loss_and_grads(model, basis.matrices, labels)
+    # A slab must have one label per row, and a row.
+    model = init_filter_model(4, 3, 8, 2, 3, 0.0, stream(3, "init"))
+    for N, y in ((basis.matrices, labels[:19]), (basis.matrices, labels[:, None]),
+                 (basis.matrices[:0], labels[:0])):
+        with pytest.raises(ValueError, match="^" + re.escape(f"slab has shape {N.shape} ")):
+            gradient_check(model, N, y)
 
 
 def test_combine_is_linear_in_hop_weights():
@@ -100,61 +107,24 @@ def test_combine_is_linear_in_hop_weights():
 
 def test_loss_uniform_logits():
     logits = np.zeros((5, 3))
-    assert loss(logits, np.array([0, 1, 2, 0, 1]), np.arange(5)) == pytest.approx(np.log(3))
+    value = _cross_entropy(logits, np.array([0, 1, 2, 0, 1]), grad=False)[0]
+    assert value == pytest.approx(np.log(3))
 
 
 def test_loss_confident_correct_goes_to_zero():
     labels = np.array([0, 1])
     for scale in (1.0, 10.0, 100.0):
         logits = scale * np.array([[1.0, 0.0], [0.0, 1.0]])
-        val = loss(logits, labels, np.arange(2))
+        val = _cross_entropy(logits, labels, grad=False)[0]
         assert val < np.log(1 + np.exp(-scale)) + 1e-12
-    assert loss(1000 * np.eye(2), labels, np.arange(2)) == pytest.approx(0.0, abs=1e-12)
+    assert _cross_entropy(1000 * np.eye(2), labels, grad=False)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_two_node_closed_form():
     logits = np.array([[1.0, 0.0], [0.0, 1.0]])
     expected = -np.log(np.e / (np.e + 1.0))
-    assert loss(logits, np.array([0, 1]), np.arange(2)) == pytest.approx(expected, rel=1e-12)
-
-
-def test_loss_rejects_empty_mask():
-    with pytest.raises(ValueError, match="empty mask"):
-        loss(np.zeros((3, 2)), np.zeros(3, dtype=int), np.array([], dtype=int))
-
-
-def _identity_head_model(onehot: np.ndarray, flip: bool = False) -> tuple[FilterModel, BasisTensor]:
-    """Single-hop basis holding one-hot rows plus an identity (or swapped) head."""
-    n, c = onehot.shape
-    basis = BasisTensor(kind="uni", matrices=onehot[:, None].astype(float))
-    W = np.eye(c)[:, ::-1].copy() if flip else np.eye(c)
-    model = FilterModel(np.concatenate([np.ones(1), W.ravel(), np.zeros(c)]),
-                        [(1,), (c, c), (c,)], dropout=0.0)
-    return model, basis
-
-
-def test_evaluate_perfect_and_inverted():
-    labels = stream(6, "y").integers(0, 2, 20)
-    onehot = np.zeros((20, 2))
-    onehot[np.arange(20), labels] = 1.0
-    model, basis = _identity_head_model(onehot)
-    assert evaluate(model, basis, labels, np.arange(20)) == 1.0
-    anti, basis = _identity_head_model(onehot, flip=True)
-    assert evaluate(anti, basis, labels, np.arange(20)) == 0.0
-
-
-def test_evaluate_tie_break_lowest_class():
-    labels = np.array([0] * 6 + [1] * 4)
-    model, basis = _identity_head_model(np.zeros((10, 2)))
-    # all-equal logits: argmax resolves to class 0, matching 6 of 10 labels
-    assert evaluate(model, basis, labels, np.arange(10)) == 0.6
-
-
-def test_evaluate_rejects_empty_mask():
-    labels = np.zeros(4, dtype=int)
-    model, basis = _identity_head_model(np.zeros((4, 2)))
-    with pytest.raises(ValueError, match="empty mask"):
-        evaluate(model, basis, labels, np.array([], dtype=int))
+    value = _cross_entropy(logits, np.array([0, 1]), grad=False)[0]
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_gradient_check_small_instances():
@@ -168,9 +138,19 @@ def test_gradient_check_small_instances():
         model = init_filter_model(4, 5, 8, 2, 3, 0.0, rng)
         model.w = model.w + 0.1 * rng.standard_normal(5)
         labels = rng.integers(0, 3, g.n)
-        err = gradient_check(model, basis, labels, np.arange(0, g.n, 2))
+        idx = np.arange(0, g.n, 2)
+        err = gradient_check(model, basis.matrices[idx], labels[idx])
         worst = max(worst, err)
     assert worst < 1e-4
+
+
+def test_gradient_check_fails_on_a_non_finite_parameter():
+    _, basis = small_basis(seed=9)
+    model = init_filter_model(4, 3, 8, 2, 3, 0.0, stream(9, "init"))
+    model.weights[1][0, 0] = np.nan
+    labels = stream(9, "y").integers(0, 3, 20)
+    with np.errstate(invalid="ignore"):
+        assert not gradient_check(model, basis.matrices, labels) < 1e-4
 
 
 def test_gradient_of_hop_weights_at_zero():
@@ -181,17 +161,16 @@ def test_gradient_of_hop_weights_at_zero():
     model.w = np.zeros(5)
     model.biases[0][:] = 0.2
     labels = stream(7, "y").integers(0, 3, 20)
-    mask = np.arange(20)
-    assert gradient_check(model, basis, labels, mask) < 1e-4
+    assert gradient_check(model, basis.matrices, labels) < 1e-4
     # chain rule at the linear combination: dL/dw_k is the entrywise sum of
     # dL/dZ against hop matrix k
-    _, grads = _loss_and_grads(model, basis, labels, mask)
+    _, grads = _loss_and_grads(model, basis.matrices, labels)
     eps = 1e-7
     for k in range(5):
         model.w[k] = eps
-        up = loss(forward(model, basis), labels, mask)
+        up = _slab_loss(model, basis.matrices, labels)
         model.w[k] = -eps
-        down = loss(forward(model, basis), labels, mask)
+        down = _slab_loss(model, basis.matrices, labels)
         model.w[k] = 0.0
         assert model.unflatten(grads)[0][k] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
 
@@ -200,8 +179,8 @@ def test_gradients_deterministic_without_dropout():
     _, basis = small_basis(seed=8)
     model = init_filter_model(4, 3, 8, 2, 3, 0.0, stream(8, "init"))
     labels = stream(8, "y").integers(0, 3, 20)
-    l1, g1 = _loss_and_grads(model, basis, labels, np.arange(20))
-    l2, g2 = _loss_and_grads(model, basis, labels, np.arange(20))
+    l1, g1 = _loss_and_grads(model, basis.matrices, labels)
+    l2, g2 = _loss_and_grads(model, basis.matrices, labels)
     assert l1 == l2
     assert np.array_equal(model.unflatten(g1)[0], model.unflatten(g2)[0])
     for a, b in zip(model.unflatten(g1)[1], model.unflatten(g2)[1]):
@@ -362,19 +341,19 @@ def test_random_search_returns_best_by_validation():
 def test_dropout_zero_forward_deterministic():
     _, basis = small_basis(seed=10)
     model = init_filter_model(4, 3, 8, 2, 3, 0.0, stream(10, "init"))
-    a = forward(model, basis, training=True, rng=stream(1, "d"))
-    b = forward(model, basis, training=True, rng=stream(2, "d"))
+    a = _forward_pass(model, _combine(model, basis.matrices), True, stream(1, "d"))[0]
+    b = _forward_pass(model, _combine(model, basis.matrices), True, stream(2, "d"))[0]
     assert np.array_equal(a, b)
 
 
 def test_dropout_scales_at_train_time_only():
     _, basis = small_basis(seed=12)
     model = init_filter_model(4, 3, 16, 2, 3, 0.5, stream(12, "init"))
-    eval_a = forward(model, basis)
-    eval_b = forward(model, basis)
+    eval_a = _forward_pass(model, _combine(model, basis.matrices), False, None)[0]
+    eval_b = _forward_pass(model, _combine(model, basis.matrices), False, None)[0]
     assert np.array_equal(eval_a, eval_b)
-    t1 = forward(model, basis, training=True, rng=stream(1, "d"))
-    t2 = forward(model, basis, training=True, rng=stream(2, "d"))
+    t1 = _forward_pass(model, _combine(model, basis.matrices), True, stream(1, "d"))[0]
+    t2 = _forward_pass(model, _combine(model, basis.matrices), True, stream(2, "d"))[0]
     assert not np.array_equal(t1, t2)
 
 
