@@ -91,7 +91,8 @@ def _as_columns(X: np.ndarray) -> np.ndarray:
         X = X[:, None]
     if X.ndim != 2:
         raise ValueError("signal matrix must be 1-D or 2-D")
-    return X
+    # Row-major, so that a basis's bits do not depend on X's memory order.
+    return np.ascontiguousarray(X)
 
 
 def _column_norms(M: np.ndarray) -> np.ndarray:
@@ -341,10 +342,11 @@ def _usable(d: int, degenerate) -> np.ndarray:
 
 def _block_frequencies(op: PropagationOperator, M: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Frequency of each column of the hop block M that `keep` marks, NaN elsewhere."""
+    if keep.all():
+        return matrix_frequencies(op, M)
     out = np.full(M.shape[1], np.nan)
-    cols = np.flatnonzero(keep)
-    if cols.size:
-        out[cols] = matrix_frequencies(op, M[:, cols])
+    if keep.any():
+        out[keep] = matrix_frequencies(op, M[:, keep])
     return out
 
 
@@ -376,10 +378,12 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
     """`basis_spectrum` of `make_basis(op, X, hops, kind, **recipe)`, bit for bit,
     without building that basis.
 
-    Each hop block is reduced to per-column frequencies as the walk yields
-    it, so memory holds a (K+1, d) array and a few blocks whatever K is. A
-    column's frequencies are all computed until it degenerates, and the
-    columns that did are left out of the means at the end.
+    Each hop block is mixed into one block buffer, reused across hops, and
+    reduced to per-column frequencies as the walk yields it, so memory holds
+    a (K+1, d) array and a few blocks whatever K is, and no hop takes fresh
+    block-sized pages for its mix. A column's frequencies are all computed
+    until it degenerates, and the columns that did are left out of the means
+    at the end.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -388,9 +392,12 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
     freq_op = op if op.kind == NO_SELF_LOOPS else propagation_operator(op.graph)
     freqs = np.empty((hops + 1, X.shape[1]))
     health = _Health()
+    buf = np.empty((X.shape[0], 0))
     for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
+        if buf.shape[1] != cols.stop - cols.start:
+            buf = np.empty((X.shape[0], cols.stop - cols.start))
         keep = _usable(X.shape[1], health.degenerate)[cols]
-        freqs[k, cols] = _block_frequencies(freq_op, mix(h, v, u), keep)
+        freqs[k, cols] = _block_frequencies(freq_op, mix(h, v, u, slice(None), buf), keep)
         del h, v, u
     return _mean_frequencies(freqs, _usable(X.shape[1], health.degenerate))
 

@@ -32,17 +32,19 @@ def matrix_frequencies(op: PropagationOperator, M: np.ndarray) -> np.ndarray:
     """Per-column signal frequency of an n x d matrix; NaN for zero columns.
 
     A column's bits do not depend on the columns beside it or on M's memory
-    order. numpy sums a product's columns pairwise or row by row depending on
-    both, so the reduction always runs on a column-major array at least two
-    wide: a lone column is reduced as one of two copies of itself.
+    order. Norms and Rayleigh quotients are column dots taken by einsum on a
+    row-major array, which sums each column row by row at any width of two or
+    more: a lone column is reduced as one of two copies of itself. A
+    row-major M is read in place; besides its result, one call allocates two
+    n x d arrays, the normalized M and its propagation.
     """
     M = np.asarray(M, dtype=np.float64)
     lone = M.ndim == 2 and M.shape[1] == 1
-    M = np.asfortranarray(M[:, [0, 0]] if lone else M)
-    norms = np.linalg.norm(M, axis=0)
+    M = np.ascontiguousarray(M[:, [0, 0]] if lone else M)
+    norms = np.sqrt(np.einsum("ij,ij->j", M, M))
     safe = np.where(norms == 0.0, 1.0, norms)
     Mn = M / safe
-    vals = 0.5 * (1.0 - np.sum(Mn * op.apply(Mn), axis=0))
+    vals = 0.5 * (1.0 - np.einsum("ij,ij->j", Mn, op.apply(Mn)))
     out = np.array([_clamp_unit(v) for v in vals], dtype=np.float64)
     out[norms == 0.0] = np.nan
     return out[:1] if lone else out

