@@ -137,7 +137,7 @@ def _blocks(n: int, d: int) -> list[slice]:
 
 def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | None = None, *,
           diffuse: bool = False, normalize: bool = True, krylov: bool = False,
-          reortho: bool = False, h_hat: float | None = None, full_width: bool = False):
+          reortho: bool = False, h_hat: float | None = None):
     """Run the basis recurrences hop by hop over column blocks of X.
 
     Yields (k, cols, h, v, u) for k = 0..hops of each block `cols`: h is the
@@ -148,8 +148,7 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
     under `reortho`, and a block's state is freed before the next block
     starts. A yielded array is never written again. Degenerate
     columns, exhaustions and clamp events accumulate in `health`;
-    exhaustion warns once, after the last block. `full_width` walks all
-    columns as one block, for consumers that reduce across columns.
+    exhaustion warns once, after the last block.
     """
     health = _Health() if health is None else health
     if h_hat is not None:
@@ -157,7 +156,7 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
         krylov = True
     X = _as_columns(X)
     n, d = X.shape
-    for cols in [slice(0, d)] if full_width else _blocks(n, d):
+    for cols in _blocks(n, d):
         x0, zero = _normalize_columns(X[:, cols])
         if krylov or (diffuse and normalize):
             health.flag(cols, zero)

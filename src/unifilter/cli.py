@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 runtime failure, 2 usage error. Machine-readable
 stdout lines are key=value. Every output directory receives exactly one
 manifest.json recording the resolved configuration, the seed, and input
-file digests; reruns with an equal manifest produce byte-identical metric
-files (timestamps aside).
+file digests; reruns with an equal manifest and an equal BLAS thread count
+produce byte-identical metric files (timestamps aside).
 
 UNIFILTER_THREADS caps the numeric thread pools; the package applies it
 when it is imported, before numpy loads.
@@ -34,7 +34,8 @@ class UsageError(Exception):
 FILE_FLAGS = ("checkpoint", "edges", "features", "labels", "split", "base_edges",
               "base_labels")
 UNIT_FLAGS = ("tau", "hom_ratio", "target")
-COUNT_FLAGS = {"search": 0, "num_splits": 1, "num_seeds": 1}
+COUNT_FLAGS = {"search": 0, "num_splits": 1, "num_seeds": 1, "feature_dim": 1, "classes": 1,
+               "k_max": 1}
 
 
 def _sha256(path: str) -> str:

@@ -295,8 +295,10 @@ def energy_trajectory(
 
     Hop 0 is included so the common starting energy is visible in the
     table. The homophily estimate defaults to the full-graph ratio. Hops
-    are walked once and every tau is blended per hop, so memory stays a
-    few n x d arrays whatever `k_max` is; rows come out tau by tau.
+    are walked once over column blocks and every tau is blended per hop;
+    the energy is a sum over columns, so block energies add up. Memory
+    holds a few block-sized arrays plus the (m, width) edge gathers of
+    each block's energy, whatever `k_max` is; rows come out tau by tau.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -306,12 +308,12 @@ def energy_trajectory(
     for tau in tau_grid:
         _recipe(UNI, h_hat=h_hat, tau=tau)  # each blend's checks on h_hat and tau
     op = propagation_operator(g)
-    energies: list[list[float]] = [[] for _ in tau_grid]
-    for _, _, h, _, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat,
-                               full_width=True):
-        for row, tau in zip(energies, tau_grid):
-            row.append(dirichlet_energy(g, _blend(h, u, tau)))
-    return [(float(tau), k, e) for tau, row in zip(tau_grid, energies) for k, e in enumerate(row)]
+    energies = np.zeros((len(tau_grid), k_max + 1))
+    for k, _, h, _, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat):
+        for i, tau in enumerate(tau_grid):
+            energies[i, k] += dirichlet_energy(g, _blend(h, u, tau))
+    return [(float(tau), k, float(e))
+            for tau, row in zip(tau_grid, energies) for k, e in enumerate(row)]
 
 
 def oversquashing_experiment(

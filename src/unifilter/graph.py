@@ -296,10 +296,8 @@ def _train_edge_homophily(g: Graph, labels: np.ndarray, train_mask: np.ndarray) 
 
 def _mask_indices(mask: np.ndarray, n: int) -> np.ndarray:
     """The node ids of `mask`, an integer index array, as int64; raises if it
-    is empty, holds anything but integers, or holds an id outside [0, n)."""
+    holds anything but integers, or holds an id outside [0, n)."""
     mask = np.asarray(mask)
-    if mask.size == 0:
-        raise ValueError("empty mask")
     if mask.dtype.kind not in "iu":
         raise ValueError(f"mask must be an integer index array, not {mask.dtype}")
     if mask.min() < 0 or mask.max() >= n:

@@ -552,6 +552,12 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     ("splits", "--num-splits", 0, "num-splits must be >= 1"),
     ("ablate", "--num-seeds", 0, "num-seeds must be >= 1"),
     ("squash", "--num-seeds", 0, "num-seeds must be >= 1"),
+    ("synth", "--feature-dim", 0, "feature-dim must be >= 1"),
+    ("tree", "--feature-dim", 0, "feature-dim must be >= 1"),
+    ("tree", "--classes", 0, "classes must be >= 1"),
+    ("squash", "--feature-dim", 0, "feature-dim must be >= 1"),
+    ("squash", "--classes", 0, "classes must be >= 1"),
+    ("energy", "--k-max", 0, "k-max must be >= 1"),
     ("energy", "--tau-grid", "a,b", "tau-grid must be comma-separated float values, got 'a,b'"),
     ("energy", "--tau-grid", "", "tau-grid must be comma-separated float values, got ''"),
     ("squash", "--k-grid", "x", "k-grid must be comma-separated int values, got 'x'"),
@@ -562,6 +568,8 @@ def test_bad_count_and_grid_flags_exit_two(toy_dir, tmp_path, command, flag, val
     args = {
         "train": toy_train_args(toy_dir, out),
         "splits": ["splits", "--nodes", 20, "--out-dir", out],
+        "synth": ["synth", "--target", 0.5, "--planted-nodes", 50, "--out-dir", out],
+        "tree": ["tree", "--depth", 3, "--out-dir", out],
         "ablate": ["ablate", *toy_data_args(toy_dir), "--out-dir", out],
         "energy": ["energy", *toy_data_args(toy_dir), "--k-max", 2, "--out-dir", out],
         "squash": ["squash", "--depth", 3, "--out-dir", out],

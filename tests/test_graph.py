@@ -134,8 +134,6 @@ def test_node_sets_are_integer_index_arrays():
             estimate_homophily(g, np.array([0, 0, 1]), ids)
         with pytest.raises(ValueError, match="mask must be an integer index array"):
             graph_module._mask_indices(ids, g.n)
-    with pytest.raises(ValueError, match="empty mask"):
-        graph_module._mask_indices(np.array([], dtype=int), g.n)
 
 
 def test_estimate_homophily_fallback():

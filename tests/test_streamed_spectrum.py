@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
+from oracles import sample_regular_graph
 from unifilter import basis as basis_module
 from unifilter.basis import (
     HETEROPHILY,
@@ -20,7 +21,8 @@ from unifilter.basis import (
     make_basis,
     walk_spectrum,
 )
-from unifilter.graph import propagation_operator
+from unifilter.datasets import energy_trajectory
+from unifilter.graph import LabeledDataset, propagation_operator
 from unifilter.model import TrainConfig, build_basis, spectrum
 from unifilter.rng import stream
 from unifilter.spectral import matrix_frequencies
@@ -197,3 +199,22 @@ def test_walk_spectrum_holds_few_live_blocks(kind, recipe, bound):
     finally:
         tracemalloc.stop()
     assert peak / (2000 * (blocks[0].stop - blocks[0].start) * 8) <= bound, peak
+
+
+def test_energy_trajectory_holds_few_live_blocks():
+    # The peak above the inputs, in n x width block arrays: the walk's own
+    # arrays, one blend and the edge gathers of one block's energy. Walking
+    # all columns as one block would hold several full-width arrays instead.
+    g = sample_regular_graph(2000, 6, stream(39, "graph"))
+    X = stream(39, "sig").standard_normal((2000, 1200))
+    ds = LabeledDataset(graph=g, features=X, labels=np.zeros(2000, dtype=np.int64), split=None,
+                        num_classes=1)
+    blocks = basis_module._blocks(2000, 1200)
+    assert len(blocks) == 6
+    tracemalloc.start()
+    try:
+        energy_trajectory(ds, (0.2, 0.8, 1.0), 4, h_hat=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2000 * (blocks[0].stop - blocks[0].start) * 8) <= 13, peak
