@@ -257,8 +257,9 @@ def test_energy_trajectory_homophily_collapse_and_tau_ordering():
 @pytest.mark.parametrize("n, d, blocks", [(2000, 500, 3), (300, 40, 1)])
 def test_energy_trajectory_matches_dirichlet_energy_of_built_basis(n, d, blocks):
     # Energy sums block by block; each hop's bits are the built basis's, so
-    # only the split of the sum moves the last bits: at most a few float64
-    # eps per block (3.9e-16 at 3 blocks), none at one block.
+    # only the split of the sum over edges moves the last bits: one rounding
+    # per added block sum, a few float64 eps at 3 blocks (2.2e-16 seen), so
+    # rtol 1e-14 leaves margin; one block adds 0.0 and matches exactly.
     from unifilter.basis import UNI, _blocks, make_basis
     from unifilter.graph import propagation_operator
 
