@@ -244,23 +244,22 @@ def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,
             reortho: bool = False, normalize: bool = True) -> tuple:
     """What a basis of `kind` keeps of each hop, as `mix(h, v, u[, rows[, out]])`:
     its rows `rows` (all by default), written into `out` when one is given. And
-    the `_walk` options that produce those parts. Construction and
-    `walk_spectrum` share it."""
+    the `_walk` options that produce those parts, which follow from tau alone.
+    Orthonormal keeps v; every other kind is the uni blend tau*h + (1-tau)*u,
+    homophily at tau=1 (ignoring `h_hat`) and heterophily at tau=0."""
+    if kind == ORTHONORMAL:
+        return (lambda h, v, u, *at: _hop_rows(v, *at)), dict(krylov=True, reortho=reortho)
     if kind in (HETEROPHILY, UNI) and h_hat is None:
         raise ValueError(f"kind {kind!r} needs h_hat")
     if kind in (HETEROPHILY, UNI) and not 0.0 <= h_hat <= 1.0:
         raise ValueError("h_hat must lie in [0, 1]")
-    if kind == HOMOPHILY:
-        return (lambda h, v, u, *at: _hop_rows(h, *at)), dict(diffuse=True, normalize=normalize)
-    if kind == ORTHONORMAL:
-        return (lambda h, v, u, *at: _hop_rows(v, *at)), dict(krylov=True, reortho=reortho)
-    if kind == HETEROPHILY:
-        return (lambda h, v, u, *at: _hop_rows(u, *at)), dict(reortho=reortho, h_hat=h_hat)
-    if kind != UNI:
+    if kind in (HOMOPHILY, HETEROPHILY):
+        tau = 1.0 if kind == HOMOPHILY else 0.0
+    elif kind != UNI:
         raise ValueError(f"unknown basis kind {kind!r}")
-    if tau is None:
+    elif tau is None:
         raise ValueError("kind 'uni' needs tau")
-    if not 0.0 <= tau <= 1.0:
+    elif not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     return (lambda h, v, u, *at: _blend(h, u, tau, *at)), dict(
         diffuse=tau > 0.0, normalize=normalize, reortho=reortho,
@@ -288,9 +287,9 @@ def make_basis(op: PropagationOperator, X: np.ndarray, hops: int, kind: str, *,
       fresh orthonormal direction, weighted by `update_factor`; when
       cos(theta) underflows (h_hat ~ 0) it is that direction, the factor's
       exact limit. An exhausted column freezes at its last valid vector.
-    - uni (needs `h_hat` and `tau`): tau*h_k + (1-tau)*u_k of the two
-      bases above. tau=1 is the homophily basis bit for bit and skips the
-      heterophily recurrences; tau=0 is the heterophily basis unchanged.
+    - uni (needs `h_hat` and `tau`): tau*h_k + (1-tau)*u_k of the two bases
+      above, which are this blend at tau=1 and tau=0 (tau=1 skips the
+      heterophily recurrences), so the ends equal them bit for bit.
     """
     health = _Health()
     out = _node_major_basis(op, X, slice(None), hops, kind, health, h_hat=h_hat, tau=tau,
@@ -339,16 +338,6 @@ def _usable(d: int, degenerate) -> np.ndarray:
     return keep
 
 
-def _block_frequencies(op: PropagationOperator, M: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Frequency of each column of the hop block M that `keep` marks, NaN elsewhere."""
-    if keep.all():
-        return matrix_frequencies(op, M)
-    out = np.full(M.shape[1], np.nan)
-    if keep.any():
-        out[keep] = matrix_frequencies(op, M[:, keep])
-    return out
-
-
 def _mean_frequencies(freqs: np.ndarray, keep: np.ndarray) -> list[float]:
     """Per-hop mean of a (K+1, d) frequency array over the usable columns `keep`."""
     if not keep.any():
@@ -366,10 +355,9 @@ def basis_spectrum(g: Graph, b: BasisTensor) -> list[float]:
     """Mean per-hop signal frequency over usable (non-degenerate, nonzero) columns."""
     if b.n != g.n:
         raise ValueError("basis was not constructed on this graph")
-    keep = _usable(b.columns, b.degenerate_columns)
     op = propagation_operator(g)
-    freqs = np.array([_block_frequencies(op, b.matrices[:, k], keep) for k in range(b.hops + 1)])
-    return _mean_frequencies(freqs, keep)
+    freqs = np.array([matrix_frequencies(op, b.matrices[:, k]) for k in range(b.hops + 1)])
+    return _mean_frequencies(freqs, _usable(b.columns, b.degenerate_columns))
 
 
 def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
@@ -380,9 +368,9 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
     Each hop block is mixed into one block buffer, reused across hops, and
     reduced to per-column frequencies as the walk yields it, so memory holds
     a (K+1, d) array and a few blocks whatever K is, and no hop takes fresh
-    block-sized pages for its mix. A column's frequencies are all computed
-    until it degenerates, and the columns that did are left out of the means
-    at the end.
+    block-sized pages for its mix. Every column's frequency is taken at every
+    hop, since it does not depend on the columns beside it; the columns that
+    degenerated are left out once, from the means at the end.
     """
     if hops < 0:
         raise ValueError("hops must be >= 0")
@@ -395,8 +383,7 @@ def walk_spectrum(op: PropagationOperator, X: np.ndarray, hops: int, kind: str,
     for k, cols, h, v, u in _walk(op, X, hops, health, **recurrences):
         if buf.shape[1] != cols.stop - cols.start:
             buf = np.empty((X.shape[0], cols.stop - cols.start))
-        keep = _usable(X.shape[1], health.degenerate)[cols]
-        freqs[k, cols] = _block_frequencies(freq_op, mix(h, v, u, slice(None), buf), keep)
+        freqs[k, cols] = matrix_frequencies(freq_op, mix(h, v, u, slice(None), buf))
         del h, v, u
     return _mean_frequencies(freqs, _usable(X.shape[1], health.degenerate))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import ORTHONORMAL, UNI, _blend, _recipe, _walk
+from .basis import ORTHONORMAL, UNI, _recipe, _walk
 from .graph import Graph, LabeledDataset, Split, homophily_ratio, propagation_operator
 from .model import TrainConfig, train_runs
 from .rng import stream, substream_seed
@@ -305,13 +305,12 @@ def energy_trajectory(
     g = dataset.graph
     if h_hat is None:
         h_hat = homophily_ratio(g, dataset.labels)
-    for tau in tau_grid:
-        _recipe(UNI, h_hat=h_hat, tau=tau)  # each blend's checks on h_hat and tau
+    mixes = [_recipe(UNI, h_hat=h_hat, tau=tau)[0] for tau in tau_grid]
     op = propagation_operator(g)
     energies = np.zeros((len(tau_grid), k_max + 1))
-    for k, _, h, _, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat):
-        for i, tau in enumerate(tau_grid):
-            energies[i, k] += dirichlet_energy(g, _blend(h, u, tau))
+    for k, _, h, v, u in _walk(op, dataset.features, k_max, diffuse=True, h_hat=h_hat):
+        for i, mix in enumerate(mixes):
+            energies[i, k] += dirichlet_energy(g, mix(h, v, u))
     return [(float(tau), k, float(e))
             for tau, row in zip(tau_grid, energies) for k, e in enumerate(row)]
 

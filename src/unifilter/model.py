@@ -566,7 +566,7 @@ def load_checkpoint(path: str | Path) -> tuple[FilterModel, dict]:
     text = Path(path).read_text(encoding="utf-8")
     try:
         return _checkpoint_model(json.loads(text))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -574,9 +574,11 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
     if not isinstance(payload, dict) or not {"w", "layers"} <= payload.keys():
         raise ValueError("checkpoint must hold 'w' and 'layers'")
     cfg, layers, w = payload.get("config", {}), payload["layers"], payload["w"]
-    if not (isinstance(cfg, dict) and isinstance(w, list) and isinstance(layers, list) and layers):
-        raise ValueError("checkpoint 'config' must be an object, 'w' a list and 'layers' "
-                         "a non-empty list")
+    # JSON numbers only: np.fromiter would read "0.25" as 0.25 and true as 1.0.
+    if not (isinstance(cfg, dict) and isinstance(w, list) and {*map(type, w)} <= {int, float}
+            and isinstance(layers, list) and layers):
+        raise ValueError("checkpoint 'config' must be an object, 'w' a list of numbers and "
+                         "'layers' a non-empty list")
     values, shapes = [w], [(len(w),)]
     for i, layer in enumerate(layers):
         if not isinstance(layer, dict) or not {"rows", "cols", "weights", "bias"} <= layer.keys():
@@ -588,7 +590,8 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
             raise ValueError(f"layer {i} has {rows} rows but layer {i - 1} has "
                              f"{shapes[-1][0]} cols")
         for key, shape in (("weights", (rows, cols)), ("bias", (cols,))):
-            if not isinstance(layer[key], list) or len(layer[key]) != math.prod(shape):
+            if not (isinstance(layer[key], list) and len(layer[key]) == math.prod(shape)
+                    and {*map(type, layer[key])} <= {int, float}):
                 raise ValueError(f"layer {i} {key!r} must be a list of {math.prod(shape)} numbers")
             values.append(layer[key])
             shapes.append(shape)

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 
@@ -398,3 +399,22 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(back.biases, model.biases):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("w", 0), "0.25", "'w' a list of numbers"), (("w", 1), True, "'w' a list of numbers"),
+    (("layers", 1, "weights", 2), "0.5", "layer 1 'weights' must be a list of"),
+    (("layers", 0, "bias", 0), True, "layer 0 'bias' must be a list of"),
+    (("layers", 0, "bias", 1), [0.5], "layer 0 'bias' must be a list of")])
+def test_checkpoint_entries_must_be_json_numbers(tmp_path, where, value, message):
+    # np.fromiter would read the string "0.25" as 0.25 and true as 1.0.
+    model = init_filter_model(3, 5, 8, 2, 4, 0.0, stream(14, "init"))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(model, {"hops": 3}, path)
+    payload = node = json.loads(path.read_text())
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(path)

@@ -86,6 +86,23 @@ def test_walk_spectrum_equals_the_built_basis_spectrum(monkeypatch, kind, recipe
     assert split[0] == split[1] == whole[0]
 
 
+@pytest.mark.parametrize("kind, recipe", RECIPES, ids=lambda r: str(r))
+@pytest.mark.parametrize("loops", ["no-self-loops", "self-loops"])
+def test_zero_columns_change_no_spectrum(monkeypatch, kind, recipe, loops):
+    # Degenerate columns are left out once, from the means: zero columns put
+    # anywhere in X, beside others in a block or filling one, move no bit.
+    g = random_connected_graph(40, 0.15, seed=41)
+    op = propagation_operator(g, loops)
+    X = _signal(g, 9, 41)
+    padded = np.insert(X, [0, 3, 3, 7, 9], 0.0, axis=1)
+    want = _both(op, g, X, 6, kind, recipe)
+    assert want[0] == want[1]
+    assert _both(op, g, padded, 6, kind, recipe) == want
+    monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 2 * 8 * 40)
+    assert len(basis_module._blocks(40, 14)) == 7
+    assert _both(op, g, padded, 6, kind, recipe) == want
+
+
 @pytest.mark.parametrize("loops, builds", [("no-self-loops", 0), ("self-loops", 1)])
 def test_walk_spectrum_reuses_a_frequency_operator(monkeypatch, loops, builds):
     # Frequencies are read through the operator without self-loops; a walk
