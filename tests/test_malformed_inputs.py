@@ -16,6 +16,8 @@ CHECKPOINT = {"w": [0.5, 0.25, 0.25], "config": {"hops": 2, "h_hat": 0.5},
               "layers": [{"rows": 2, "cols": 2, "weights": [0.1, 0.2, 0.3, 0.4],
                           "bias": [0.0, 0.0]}]}
 NOT_UTF8 = b"0 1\n\xff\xfe 2\n"
+GOOD = {"edges": EDGES, "features": FEATURES, "labels": LABELS, "split": json.dumps(SPLIT),
+        "checkpoint": json.dumps(CHECKPOINT), "base_edges": EDGES, "base_labels": LABELS}
 
 
 def _with(payload, value, *keys):
@@ -84,12 +86,10 @@ CASES += [(command, flag, case) for command, (flags, _) in COMMANDS.items() for 
 
 @pytest.mark.parametrize("command, flag, case", CASES, ids=lambda v: str(v))
 def test_a_malformed_input_file_exits_in_one_stderr_line(tmp_path, capsys, command, flag, case):
-    good = {"edges": EDGES, "features": FEATURES, "labels": LABELS, "split": json.dumps(SPLIT),
-            "checkpoint": json.dumps(CHECKPOINT), "base_edges": EDGES, "base_labels": LABELS}
     flags, extra = COMMANDS[command]
     argv = [command, *extra, "--out-dir", str(tmp_path / "out")]
     for name in flags:
-        content = BROKEN[name][case] if name == flag else good[name]
+        content = BROKEN[name][case] if name == flag else GOOD[name]
         path = tmp_path / name
         if isinstance(content, bytes):
             path.write_bytes(content)
