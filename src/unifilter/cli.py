@@ -17,11 +17,20 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .basis import (HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, angle_law_deviation, export_basis,
+                    orthonormality_deviation)
+from .datasets import (SynthSpec, TreeSpec, ablation_basis_variants, binary_tree_dataset,
+                       energy_trajectory, make_splits, oversquashing_experiment,
+                       planted_homophily_graph, synth_variable_h, write_dataset)
+from .graph import (estimate_homophily, load_dataset, load_features, load_graph, load_labels,
+                    load_split)
+from .model import (SEARCH_SPACE, TrainConfig, build_basis, load_checkpoint, random_search,
+                    save_checkpoint, spectrum, tau_preset, train)
 
 
 class UsageError(Exception):
@@ -33,9 +42,11 @@ class UsageError(Exception):
 # (with their least value) are checked by main in every command that has them.
 FILE_FLAGS = ("checkpoint", "edges", "features", "labels", "split", "base_edges",
               "base_labels")
-UNIT_FLAGS = ("tau", "hom_ratio", "target")
+UNIT_FLAGS = ("tau", "hom_ratio", "target", "tolerance")
 COUNT_FLAGS = {"search": 0, "num_splits": 1, "num_seeds": 1, "feature_dim": 1, "classes": 1,
-               "k_max": 1}
+               "k_max": 1, "depth": 2, "nodes": 5}
+# The library's run settings, which the `train` and `basis` flags default to.
+_DEFAULT = TrainConfig()
 
 
 def _sha256(path: str) -> str:
@@ -85,43 +96,40 @@ def _grid(text: str, kind: type, name: str) -> tuple:
                          f"got {text!r}") from None
 
 
-def _check_unit(value: float, name: str) -> float:
+def _check_unit(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise UsageError(f"{name} must be in [0,1]")
-    return value
+
+
+def _config(args: argparse.Namespace, **given) -> TrainConfig:
+    """The run's TrainConfig from the flags named after its fields (`--hom-ratio`
+    feeds h_hat). A field with no flag keeps its default, and `given` overrides
+    the flags. A value the config rejects is a usage error."""
+    flags = {f.name: "hom_ratio" if f.name == "h_hat" else f.name for f in fields(TrainConfig)}
+    values = {name: getattr(args, flag) for name, flag in flags.items() if hasattr(args, flag)}
+    try:
+        return TrainConfig(**{**values, **given})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(exc) from None
 
 
 def _load_dataset_args(args: argparse.Namespace):
-    from .graph import load_dataset
-
     return load_dataset(args.edges, args.features, args.labels, getattr(args, "split", None))
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .model import TrainConfig, random_search, save_checkpoint, tau_preset, train
-
-    tau = args.tau
+    given = {}
     if args.tau_preset is not None:
         try:
-            tau = _check_unit(tau_preset(args.tau_preset), "tau")
+            given["tau"] = tau_preset(args.tau_preset)
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
+    cfg = _config(args, **given)
     ds = _load_dataset_args(args)
-    cfg = TrainConfig(
-        hops=args.hops, tau=tau, lr=args.lr, weight_decay=args.weight_decay,
-        hidden=args.hidden, layers=args.layers, dropout=args.dropout,
-        patience=args.patience, max_epochs=args.max_epochs, seed=args.seed,
-        basis=args.basis, self_loops=args.self_loops,
-        raw_homophily=args.raw_homophily, reortho=args.reortho,
-        h_hat=args.hom_ratio,
-    )
     if args.search:
         cfg, _, _ = random_search(ds, cfg, trials=args.search, seed=args.seed)
-        print(f"search_lr={cfg.lr!r}")
-        print(f"search_hidden={cfg.hidden}")
-        print(f"search_layers={cfg.layers}")
-        print(f"search_weight_decay={cfg.weight_decay!r}")
-        print(f"search_dropout={cfg.dropout!r}")
+        for key in SEARCH_SPACE:
+            print(f"search_{key}={getattr(cfg, key)!r}")
     report, model = train(ds, cfg, return_model=True)
     out = _outdir(args)
     (out / "report.json").write_text(
@@ -135,20 +143,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    from .basis import (HETEROPHILY, HOMOPHILY, ORTHONORMAL, UNI, angle_law_deviation,
-                        export_basis, orthonormality_deviation)
-    from .graph import load_features, load_graph
-    from .model import TrainConfig, build_basis
-
     kind = {"homo": HOMOPHILY, "hetero": HETEROPHILY, "ortho": ORTHONORMAL,
             "uni": UNI}[args.mode]
     if kind in (HETEROPHILY, UNI) and args.hom_ratio is None:
         raise UsageError(f"--hom-ratio is required for mode {args.mode}")
+    cfg = _config(args, basis=kind)
     X = load_features(args.features)
     g = load_graph(args.edges, X.shape[0])
-    b = build_basis(g, X, TrainConfig(
-        hops=args.hops, tau=args.tau, basis=kind, self_loops=args.self_loops,
-        raw_homophily=args.raw_homophily, reortho=args.reortho, h_hat=args.hom_ratio))
+    b = build_basis(g, X, cfg)
     export_basis(b, _outdir(args))
     if args.check:
         if args.mode == "hetero":
@@ -165,8 +167,6 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    from .model import TrainConfig, load_checkpoint, spectrum
-
     model, ckcfg = load_checkpoint(args.checkpoint)
     try:
         cfg = TrainConfig(**ckcfg)
@@ -191,9 +191,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .datasets import SynthSpec, planted_homophily_graph, synth_variable_h, write_dataset
-    from .graph import load_graph, load_labels
-
     if args.base_edges is not None or args.base_labels is not None:
         if args.base_edges is None or args.base_labels is None:
             raise UsageError("--base-edges and --base-labels go together")
@@ -214,8 +211,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    from .datasets import TreeSpec, binary_tree_dataset, write_dataset
-
     ds = binary_tree_dataset(TreeSpec(depth=args.depth, feature_dim=args.feature_dim,
                                       num_classes=args.classes, seed=args.seed))
     write_dataset(ds, _outdir(args), meta={"depth": args.depth, "seed": args.seed,
@@ -227,8 +222,6 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_splits(args: argparse.Namespace) -> int:
-    from .datasets import make_splits
-
     splits = make_splits(args.nodes, args.regime, args.num_splits, args.seed)
     out = _outdir(args)
     for i, split in enumerate(splits):
@@ -239,8 +232,6 @@ def cmd_splits(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_h(args: argparse.Namespace) -> int:
-    from .graph import estimate_homophily, load_graph, load_labels, load_split
-
     labels = load_labels(args.labels)
     g = load_graph(args.edges, labels.shape[0])
     split = load_split(args.split)
@@ -254,14 +245,8 @@ def cmd_estimate_h(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    from .datasets import ablation_basis_variants
-    from .model import TrainConfig
-
+    cfg = _config(args)
     ds = _load_dataset_args(args)
-    cfg = TrainConfig(hops=args.hops, lr=args.lr, hidden=args.hidden,
-                      layers=args.layers, dropout=args.dropout,
-                      patience=args.patience, max_epochs=args.max_epochs,
-                      seed=args.seed)
     table = ablation_basis_variants(ds, cfg, num_seeds=args.num_seeds,
                                     regime=args.regime)
     _write_table(_outdir(args) / "ablation.csv", "variant,mean_acc,gap_to_unifilter",
@@ -272,8 +257,6 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    from .datasets import energy_trajectory
-
     tau_grid = _grid(args.tau_grid, float, "tau-grid")
     for t in tau_grid:
         _check_unit(t, "tau-grid entry")
@@ -285,9 +268,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
 
 def cmd_squash(args: argparse.Namespace) -> int:
-    from .datasets import TreeSpec, oversquashing_experiment
-
     k_grid = _grid(args.k_grid, int, "k-grid")
+    if min(k_grid) < 0:
+        raise UsageError("k-grid entry must be >= 0")
     table = oversquashing_experiment(
         TreeSpec(depth=args.depth, feature_dim=args.feature_dim,
                  num_classes=args.classes, seed=args.seed),
@@ -317,23 +300,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a filter and report test accuracy")
     add_files(p, "edges", "features", "labels", "split")
-    p.add_argument("--hops", type=int, default=10)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--hops", type=int, default=_DEFAULT.hops)
+    p.add_argument("--tau", type=float, default=_DEFAULT.tau)
     p.add_argument("--tau-preset", default=None,
                    help="take tau from the shipped per-dataset preset file")
     p.add_argument("--basis", choices=["uni", "homophily", "heterophily", "orthonormal"],
-                   default="uni")
+                   default=_DEFAULT.basis)
     p.add_argument("--search", type=int, default=0,
                    help="random-search trials over the standard ranges; "
                         "best trial by validation accuracy is reported")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--patience", type=int, default=200)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--hom-ratio", type=float, default=None,
+    p.add_argument("--lr", type=float, default=_DEFAULT.lr)
+    p.add_argument("--weight-decay", type=float, default=_DEFAULT.weight_decay)
+    p.add_argument("--hidden", type=int, default=_DEFAULT.hidden)
+    p.add_argument("--layers", type=int, default=_DEFAULT.layers)
+    p.add_argument("--dropout", type=float, default=_DEFAULT.dropout)
+    p.add_argument("--patience", type=int, default=_DEFAULT.patience)
+    p.add_argument("--max-epochs", type=int, default=_DEFAULT.max_epochs)
+    p.add_argument("--hom-ratio", type=float, default=_DEFAULT.h_hat,
                    help="override the estimated homophily ratio")
     p.add_argument("--self-loops", action="store_true")
     p.add_argument("--raw-homophily", action="store_true")
@@ -344,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="construct and export a basis")
     add_files(p, "edges", "features")
     p.add_argument("--mode", choices=["homo", "hetero", "ortho", "uni"], required=True)
-    p.add_argument("--hops", type=int, default=10)
-    p.add_argument("--hom-ratio", type=float, default=None)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--hops", type=int, default=_DEFAULT.hops)
+    p.add_argument("--hom-ratio", type=float, default=_DEFAULT.h_hat)
+    p.add_argument("--tau", type=float, default=_DEFAULT.tau)
     p.add_argument("--check", action="store_true",
                    help="verify angle and orthonormality deviations")
     p.add_argument("--reortho", action="store_true")

@@ -134,24 +134,27 @@ def _parse_array(path: Path) -> np.ndarray | None:
 def _parse_lines(path: Path, n: int) -> np.ndarray:
     """Every (u, v) line as an (L, 2) array; raises naming the first bad line."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected 'u v' at line {lineno} of {path}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"non-integer node id at line {lineno} of {path}") from exc
-            for idx in (u, v):
-                if idx < 0:
-                    raise ValueError(f"negative node index {idx} at line {lineno}")
-                if idx >= n:
-                    raise ValueError(f"node index {idx} >= n={n} at line {lineno}")
-            pairs.append((u, v))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ValueError(f"expected 'u v' at line {lineno} of {path}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"non-integer node id at line {lineno} of {path}") from exc
+                for idx in (u, v):
+                    if idx < 0:
+                        raise ValueError(f"negative node index {idx} at line {lineno}")
+                    if idx >= n:
+                        raise ValueError(f"node index {idx} >= n={n} at line {lineno}")
+                pairs.append((u, v))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 

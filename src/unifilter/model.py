@@ -563,9 +563,8 @@ def save_checkpoint(model: FilterModel, config: dict, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> tuple[FilterModel, dict]:
     """Model and config from a checkpoint; a bad payload raises ValueError naming `path`."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return _checkpoint_model(json.loads(text))
+        return _checkpoint_model(json.loads(Path(path).read_text(encoding="utf-8")))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -643,14 +642,7 @@ def random_search(
     rng = stream(seed, "hyper-search")
     cfgs: list[TrainConfig] = []
     for _ in range(trials):
-        cfg = replace(
-            base_cfg,
-            lr=float(rng.choice(SEARCH_SPACE["lr"])),
-            hidden=int(rng.choice(SEARCH_SPACE["hidden"])),
-            layers=int(rng.choice(SEARCH_SPACE["layers"])),
-            weight_decay=float(rng.choice(SEARCH_SPACE["weight_decay"])),
-            dropout=float(rng.choice(SEARCH_SPACE["dropout"])),
-        )
+        cfg = replace(base_cfg, **{k: rng.choice(v).item() for k, v in SEARCH_SPACE.items()})
         if tau_grid is not None:
             cfg = replace(cfg, tau=float(rng.choice(tau_grid)))
         cfgs.append(cfg)

@@ -17,7 +17,7 @@ import pytest
 from unifilter.datasets import write_dataset
 from unifilter.graph import Graph, LabeledDataset
 from unifilter.datasets import make_splits
-from unifilter.model import TrainConfig
+from unifilter.model import SEARCH_SPACE, TrainConfig
 from unifilter.rng import stream
 
 
@@ -309,7 +309,34 @@ def test_train_search_reports_chosen_settings(toy_dir, tmp_path):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     vals = kv_lines(proc.stdout)
-    assert "search_lr" in vals and "test_acc" in vals
+    assert "test_acc" in vals
+    # One line per searched setting, in SEARCH_SPACE's order, each the value
+    # the winner was trained and checkpointed with.
+    searched = [line.partition("=") for line in proc.stdout.splitlines()
+                if line.startswith("search_")]
+    assert [key for key, _, _ in searched] == [f"search_{key}" for key in SEARCH_SPACE]
+    config = json.loads((tmp_path / "run" / "checkpoint.json").read_text())["config"]
+    for key, _, value in searched:
+        assert value == repr(config[key.removeprefix("search_")]), (key, value)
+
+
+def test_train_flags_reach_every_config_field(toy_dir, tmp_path):
+    # Every flag that feeds a TrainConfig field, each away from its default.
+    settings = {"hops": 2, "tau": 0.25, "lr": 0.02, "weight_decay": 1e-4, "hidden": 6,
+                "layers": 3, "dropout": 0.1, "patience": 7, "max_epochs": 9, "seed": 3,
+                "basis": "heterophily", "self_loops": True, "raw_homophily": True,
+                "reortho": True, "h_hat": 0.375}
+    defaults = asdict(TrainConfig())
+    assert settings.keys() == defaults.keys()
+    assert all(settings[k] != defaults[k] for k in settings)
+    args = toy_data_args(toy_dir) + ["--split", toy_dir / "split.json"]
+    for field, value in settings.items():
+        flag = "--" + ("hom-ratio" if field == "h_hat" else field.replace("_", "-"))
+        args += [flag] if value is True else [flag, value]
+    proc = run_cli("train", *args, "--out-dir", tmp_path / "run")
+    assert proc.returncode == 0, proc.stderr
+    config = json.loads((tmp_path / "run" / "checkpoint.json").read_text())["config"]
+    assert config == asdict(TrainConfig(**settings))
 
 
 def test_ablate_command_smoke(tmp_path):
@@ -354,7 +381,7 @@ def test_manifest_written_once_with_digests(toy_dir, tmp_path):
         assert len(digest) == 64
 
 
-@pytest.mark.parametrize("case", ["hidden", "max-epochs", "nan-feature", "empty-features",
+@pytest.mark.parametrize("case", ["nan-feature", "empty-features",
                                   "non-utf8-features", "ragged-features", "fractional-label",
                                   "negative-label", "split-without-val", "empty-val",
                                   "nonfinite-loss"])
@@ -362,10 +389,7 @@ def test_train_rejects_bad_input_in_one_line(toy_dir, tmp_path, case):
     # The output directory exists, so a manifest written on failure would show.
     (tmp_path / "out").mkdir()
     args = toy_train_args(toy_dir, tmp_path / "out")
-    if case in ("hidden", "max-epochs"):
-        args[args.index(f"--{case}") + 1] = 0
-        expected = f"{case.replace('-', '_')} must be >= 1"
-    elif case == "nan-feature":
+    if case == "nan-feature":
         X = np.loadtxt(toy_dir / "features.csv", delimiter=",")
         X[3, 1] = np.nan
         np.savetxt(tmp_path / "features.csv", X, delimiter=",")
@@ -562,11 +586,28 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     ("energy", "--tau-grid", "", "tau-grid must be comma-separated float values, got ''"),
     ("squash", "--k-grid", "x", "k-grid must be comma-separated int values, got 'x'"),
     ("train", "--tau-preset", "nope", "no tau preset for 'nope'; known: ['actor', 'chameleon', "
-     "'citeseer', 'cora', 'genius', 'ogbn-arxiv', 'penn94', 'pubmed', 'squirrel']")])
+     "'citeseer', 'cora', 'genius', 'ogbn-arxiv', 'penn94', 'pubmed', 'squirrel']"),
+    # Values TrainConfig rejects, with its own message, before any input is read.
+    ("train", "--hidden", 0, "hidden must be >= 1"),
+    ("train", "--max-epochs", 0, "max_epochs must be >= 1"),
+    ("train", "--layers", 7, "layers must lie in [2, 6]"),
+    ("train", "--patience", 0, "patience must be >= 1"),
+    ("train", "--lr", -1, "rates must be >= 0"),
+    ("train", "--dropout", 1.0, "dropout must be < 1"),
+    ("train", "--lr", "nan", "rates must be finite"),
+    ("basis", "--hops", -1, "hops must be >= 0"),
+    ("ablate", "--hidden", 0, "hidden must be >= 1"),
+    ("tree", "--depth", 1, "depth must be >= 2"),
+    ("squash", "--depth", 1, "depth must be >= 2"),
+    ("splits", "--nodes", 4, "nodes must be >= 5"),
+    ("squash", "--k-grid", "2,-1", "k-grid entry must be >= 0"),
+    ("synth", "--tolerance", -1, "tolerance must be in [0,1]")])
 def test_bad_count_and_grid_flags_exit_two(toy_dir, tmp_path, command, flag, value, message):
     out = tmp_path / "out"
     args = {
         "train": toy_train_args(toy_dir, out),
+        "basis": ["basis", "--edges", toy_dir / "edges.txt", "--features",
+                  toy_dir / "features.csv", "--mode", "homo", "--out-dir", out],
         "splits": ["splits", "--nodes", 20, "--out-dir", out],
         "synth": ["synth", "--target", 0.5, "--planted-nodes", 50, "--out-dir", out],
         "tree": ["tree", "--depth", 3, "--out-dir", out],

@@ -195,10 +195,11 @@ def test_load_graph_rejects_bytes_that_are_not_utf8(tmp_path):
     f = tmp_path / "edges.txt"
     data = PREAMBLE.encode() + b"0 \xff\n"
     f.write_bytes(data)
-    with pytest.raises(UnicodeDecodeError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_graph(f, 4)
-    assert str(exc.value) == (f"'utf-8' codec can't decode byte 0xff in position {len(data) - 2}: "
-                              "invalid start byte")
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == (f"{f}: 'utf-8' codec can't decode byte 0xff in position "
+                              f"{len(data) - 2}: invalid start byte")
 
 
 def test_load_graph_self_loop_warning_names_the_caller(tmp_path):

@@ -46,27 +46,30 @@ def reference_load_graph(path: str | Path, n: int) -> Graph:
     path = Path(path)
     edges: set[tuple[int, int]] = set()
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"expected 'u v' at line {lineno} of {path}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"non-integer node id at line {lineno} of {path}") from exc
-            for idx in (u, v):
-                if idx < 0:
-                    raise ValueError(f"negative node index {idx} at line {lineno}")
-                if idx >= n:
-                    raise ValueError(f"node index {idx} >= n={n} at line {lineno}")
-            if u == v:
-                dropped += 1
-                continue
-            edges.add((u, v) if u < v else (v, u))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ValueError(f"expected 'u v' at line {lineno} of {path}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise ValueError(f"non-integer node id at line {lineno} of {path}") from exc
+                for idx in (u, v):
+                    if idx < 0:
+                        raise ValueError(f"negative node index {idx} at line {lineno}")
+                    if idx >= n:
+                        raise ValueError(f"node index {idx} >= n={n} at line {lineno}")
+                if u == v:
+                    dropped += 1
+                    continue
+                edges.add((u, v) if u < v else (v, u))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} self-loop line(s)", stacklevel=2)
     arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)

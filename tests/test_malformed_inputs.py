@@ -103,3 +103,5 @@ def test_a_malformed_input_file_exits_in_one_stderr_line(tmp_path, capsys, comma
     else:
         assert code in (1, 2), (code, err)
         assert err.count("\n") == 1 and err.startswith("error: "), err
+        if case == "not-utf8":
+            assert str(tmp_path / flag) in err, err
