@@ -35,7 +35,8 @@ _ZERO_NORM = 1e-300
 # Bytes of one n x width block array. A uni walk keeps about seven of them
 # alive (7.05 by tracemalloc), 24.7 MiB above a 326 MiB result at Cora shape.
 # A 127 x 100 tree signal still fits in one block; a 50k x 16 signal splits
-# into widths 9 + 7: the same bits, but its build takes about 15% longer.
+# into widths 9 + 7: the same bits, and a build as fast as one 16-wide block's
+# (1.51 against 1.58 s, medians of 6 cold builds at one BLAS thread).
 # Training forms its first layer's input gradient in row chunks of this size.
 _BLOCK_BYTES = 7 << 19
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -95,17 +96,29 @@ def _as_columns(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X)
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.sum(a * b, axis=0)` bit for bit, without the product array. At width
+    >= 2 both sum each column row by row, on C-ordered and strided blocks
+    alike; a lone column np.sum sums pairwise and einsum does not, so it keeps
+    np.sum's form."""
+    if a.shape[1] < 2:
+        return np.add.reduce(a * b, axis=0)
+    return np.einsum("ij,ij->j", a, b)
+
+
 def _column_norms(M: np.ndarray) -> np.ndarray:
     """`np.linalg.norm(M, axis=0)` bit for bit, without the copy its `conj()` makes."""
-    return np.sqrt(np.add.reduce(M * M, axis=0))
+    return np.sqrt(_column_dots(M, M))
 
 
 def _normalize_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide M's columns by their norms in place, zeroing the columns whose
+    norm is below _ZERO_NORM; returns M and the mask of those dead columns."""
     norms = _column_norms(M)
     dead = norms < _ZERO_NORM
-    out = M / np.where(dead, 1.0, norms)
-    out[:, dead] = 0.0
-    return out, dead
+    M /= np.where(dead, 1.0, norms)
+    M[:, dead] = 0.0
+    return M, dead
 
 
 def _outside_stacklevel() -> int:
@@ -146,7 +159,10 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
     `h_hat`. Parts not asked for are None; u needs v, so `h_hat` implies
     `krylov`. Only v_{k-1} and v_{k-2} are kept, plus the block's history
     under `reortho`, and a block's state is freed before the next block
-    starts. A yielded array is never written again. Degenerate
+    starts. A yielded array is never written again, and X never is: hop 0
+    normalizes a copy of the block, and each later hop normalizes its fresh
+    sparse products in place. Column dots and norms are `_column_dots`, the
+    bits of `np.sum(a * b, axis=0)` without its product array. Degenerate
     columns, exhaustions and clamp events accumulate in `health`;
     exhaustion warns once, after the last block.
     """
@@ -157,7 +173,7 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
     X = _as_columns(X)
     n, d = X.shape
     for cols in _blocks(n, d):
-        x0, zero = _normalize_columns(X[:, cols])
+        x0, zero = _normalize_columns(X[:, cols].copy())
         if krylov or (diffuse and normalize):
             health.flag(cols, zero)
         h = (x0 if normalize else X[:, cols]) if diffuse else None
@@ -178,13 +194,13 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
             if krylov:
                 vprev = v
                 v = op.apply(vprev)
-                v -= np.sum(v * vprev, axis=0) * vprev
-                v -= np.sum(v * vprev2, axis=0) * vprev2
+                v -= _column_dots(v, vprev) * vprev
+                v -= _column_dots(v, vprev2) * vprev2
                 vprev2 = vprev
                 if reortho:
                     for _ in range(2):
                         for w in history:
-                            v -= np.sum(v * w, axis=0) * w
+                            v -= _column_dots(v, w) * w
                 norms = _column_norms(v)
                 died = alive & (norms < EXHAUSTION_TOL)
                 health.exhausted += int(np.count_nonzero(died))
@@ -198,7 +214,7 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
                 if c < COS_UNDERFLOW_TOL:
                     unew = v
                 else:
-                    t, clipped = update_factor(np.sum(s * u, axis=0), k, c)
+                    t, clipped = update_factor(_column_dots(s, u), k, c)
                     health.clamps += int(np.count_nonzero(clipped & alive))
                     # s / k + t * v, summed into the first term's array.
                     unew = s / k
@@ -220,10 +236,12 @@ def _walk(op: PropagationOperator, X: np.ndarray, hops: int, health: _Health | N
 
 def _hop_rows(part: np.ndarray, rows: np.ndarray | slice = slice(None),
               out: np.ndarray | None = None) -> np.ndarray:
-    """`part[rows]`, copied into `out` when one is given."""
+    """`part[rows]`, copied into `out` when one is given. An index array is
+    gathered with `np.take`, faster than fancy indexing at narrow widths."""
+    picked = part[rows] if isinstance(rows, slice) else np.take(part, rows, axis=0)
     if out is None:
-        return part[rows]
-    out[...] = part[rows]
+        return picked
+    out[...] = picked
     return out
 
 
@@ -231,10 +249,17 @@ def _blend(h: np.ndarray, u: np.ndarray, tau: float, rows: np.ndarray | slice = 
            out: np.ndarray | None = None) -> np.ndarray:
     """The rows `rows` of the uni hop tau*h + (1-tau)*u, written into `out`
     when one is given; tau=1 and tau=0 give the rows of h and u themselves.
-    The second term is added into the first's array, so one temporary is
-    made; h and u are never written."""
+    h and u are never written. A slice is mixed straight into `out`, the
+    second term added into the first's array. An index array is gathered from
+    the whole mixed block, so a strided `out` (a hop of the node-major basis)
+    is written once rather than read and written again; the terms are
+    elementwise, so the bits are the same."""
     if tau == 1.0 or tau == 0.0:
         return _hop_rows(h if tau == 1.0 else u, rows, out)
+    if not isinstance(rows, slice):
+        mixed = tau * h
+        mixed += (1.0 - tau) * u
+        return _hop_rows(mixed, rows, out)
     out = np.multiply(tau, h[rows], out=out)
     out += (1.0 - tau) * u[rows]
     return out

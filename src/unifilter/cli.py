@@ -127,10 +127,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config(args, **given)
     ds = _load_dataset_args(args)
     if args.search:
-        cfg, _, _ = random_search(ds, cfg, trials=args.search, seed=args.seed)
+        cfg, report, _, model = random_search(ds, cfg, trials=args.search, seed=args.seed,
+                                              return_model=True)
         for key in SEARCH_SPACE:
             print(f"search_{key}={getattr(cfg, key)!r}")
-    report, model = train(ds, cfg, return_model=True)
+    else:
+        report, model = train(ds, cfg, return_model=True)
     out = _outdir(args)
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")

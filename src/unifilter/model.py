@@ -102,10 +102,11 @@ class TrainConfig:
             raise ValueError("h_hat must lie in [0, 1]")
         if not 2 <= self.layers <= 6:
             raise ValueError("layers must lie in [2, 6]")
-        if min(self.lr, self.weight_decay, self.dropout) < 0:
-            raise ValueError("rates must be >= 0")
-        if not all(map(math.isfinite, (self.lr, self.weight_decay, self.dropout))):
-            raise ValueError("rates must be finite")
+        for name in ("lr", "weight_decay", "dropout"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.dropout >= 1.0:
             raise ValueError("dropout must be < 1")
         if self.basis not in (UNI, HOMOPHILY, HETEROPHILY, ORTHONORMAL):
@@ -603,28 +604,35 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
     return FilterModel(params, shapes, float(cfg.get("dropout", 0.0))), cfg
 
 
-def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainReport]:
-    """`[train(dataset, cfg) for cfg in cfgs]`, bit for bit, building each
-    distinct basis once.
+def _grouped_runs(dataset: LabeledDataset, cfgs: list[TrainConfig], **kwargs):
+    """Yields `(i, train(dataset, cfgs[i], **kwargs))` for every i, bit for bit,
+    building each distinct basis once.
 
     Configs with equal basis recipes name one basis up to its hop count, and
     a basis at K holds the one at k <= K as its hops 0..k (the hop-prefix
     property). So each such group builds its training basis once, at its
     largest hop count, and each run trains on the view of its first hops+1,
     `[:, :hops + 1]`. Groups run one after another, so one basis is alive at
-    a time.
+    a time, and the runs come group by group rather than in index order.
     """
     resolved = [replace(cfg, h_hat=_run_h_hat(dataset, cfg)[0]) for cfg in cfgs]
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(resolved):
         kind, args = _basis_args(replace(cfg, hops=0))
         groups.setdefault((kind, *args.items()), []).append(i)
-    reports: list[TrainReport] = [None] * len(cfgs)  # type: ignore[list-item]
     for members in groups.values():
         built = _training_basis(dataset, resolved[max(members, key=lambda i: cfgs[i].hops)])
         for i in members:
-            reports[i] = train(dataset, cfgs[i], basis=built[:, :cfgs[i].hops + 1])
+            yield i, train(dataset, cfgs[i], basis=built[:, :cfgs[i].hops + 1], **kwargs)
         del built  # before the next group's build
+
+
+def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainReport]:
+    """`[train(dataset, cfg) for cfg in cfgs]`, bit for bit, building each
+    distinct basis once (`_grouped_runs`)."""
+    reports: list[TrainReport] = [None] * len(cfgs)  # type: ignore[list-item]
+    for i, report in _grouped_runs(dataset, cfgs):
+        reports[i] = report
     return reports
 
 
@@ -634,9 +642,13 @@ def random_search(
     trials: int,
     seed: int = 0,
     tau_grid: list[float] | None = None,
-) -> tuple[TrainConfig, TrainReport, list[tuple[TrainConfig, TrainReport]]]:
-    """Random search over the standard ranges; best trial by validation accuracy.
-    Every trial's config is drawn first, so trials that share a tau share a basis."""
+    return_model: bool = False,
+):
+    """Random search over the standard ranges; best trial by validation accuracy,
+    the first of equals. Returns the best trial's config and report and every
+    (config, report); with `return_model` also the best trial's restored
+    model. Every trial's config is drawn first, so trials that share a tau
+    share a basis."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = stream(seed, "hyper-search")
@@ -646,6 +658,16 @@ def random_search(
         if tau_grid is not None:
             cfg = replace(cfg, tau=float(rng.choice(tau_grid)))
         cfgs.append(cfg)
-    results = list(zip(cfgs, train_runs(dataset, cfgs)))
-    best_cfg, best = max(results, key=lambda result: result[1].best_val_acc)
-    return best_cfg, best, results
+    # Only the best model so far is held. The runs come out of index order,
+    # so a tie goes to the lower index, the trial `max` would pick.
+    reports: list[TrainReport] = [None] * trials  # type: ignore[list-item]
+    best, model = -1, None
+    for i, (report, run_model) in _grouped_runs(dataset, cfgs, return_model=True):
+        reports[i] = report
+        if best < 0 or (report.best_val_acc, -i) > (reports[best].best_val_acc, -best):
+            best, model = i, run_model
+        del run_model
+    results = list(zip(cfgs, reports))
+    if return_model:
+        return (*results[best], results, model)
+    return (*results[best], results)

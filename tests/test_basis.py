@@ -453,3 +453,68 @@ def test_exhaustion_warning_names_the_callers_file():
             call()
         assert [(w.filename, "exhaust" in str(w.message)) for w in caught] == \
             [(__file__, True)], name
+
+
+def _layouts(rng, n, width):
+    """Two (n, width) blocks in each memory layout the walk's column dots
+    meet: C-ordered, column slices of a wider C array, and hops of a
+    node-major (n, K+1, d) array."""
+    yield "c-ordered", rng.standard_normal((n, width)), rng.standard_normal((n, width))
+    wide = rng.standard_normal((n, width + 7))
+    yield "column-slice", wide[:, 3:3 + width], wide[:, 7:7 + width]
+    hops = rng.standard_normal((n, 4, width + 5))
+    yield "hop-view", hops[:, 1, 2:2 + width], hops[:, 3, :width]
+
+
+@pytest.mark.parametrize("width", [1, 2, 9, 169])
+def test_column_dots_and_norms_are_the_np_sum_forms_bit_for_bit(width):
+    # The walk takes every column dot and norm with `_column_dots`; its bits
+    # are those of the np.sum form it replaced, in every layout. Width 1 is
+    # np.sum's pairwise sum, kept as such.
+    rng = stream(31, f"dots-{width}")
+    for n in (3, 257, 2708):
+        for layout, a, b in _layouts(rng, n, width):
+            assert np.array_equal(basis_module._column_dots(a, b), np.sum(a * b, axis=0)), layout
+            assert np.array_equal(basis_module._column_norms(a),
+                                  np.sqrt(np.sum(a * a, axis=0))), layout
+            assert np.array_equal(basis_module._column_norms(a), np.linalg.norm(a, axis=0))
+            # In place, with the bits of dividing into a fresh array.
+            a = a.copy()
+            a[:, -1] = 0.0
+            want = a / np.where(np.arange(width) == width - 1, 1.0, np.linalg.norm(a, axis=0))
+            want[:, -1] = 0.0
+            got, dead = basis_module._normalize_columns(a)
+            assert got is a and np.array_equal(got, want), layout
+            assert dead.tolist() == [False] * (width - 1) + [True]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
+def test_blend_of_an_index_array_is_the_gathered_blend(tau):
+    rng = stream(32, f"blend-{tau}")
+    n, width = 300, 9
+    h, u = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+    rows = rng.permutation(n)[:250]
+    want = (tau * h + (1.0 - tau) * u)[rows]
+    h0, u0 = h.copy(), u.copy()
+    assert np.array_equal(basis_module._blend(h, u, tau, rows), want)
+    # Into a hop of a node-major buffer, as `_node_major_basis` writes it.
+    out = np.full((rows.size, 3, width + 4), np.nan)
+    got = basis_module._blend(h, u, tau, rows, out[:, 1, 2:2 + width])
+    assert np.array_equal(got, want) and np.array_equal(out[:, 1, 2:2 + width], want)
+    assert np.isnan(out[:, [0, 2]]).all() and np.isnan(out[:, 1, [0, 1, -2, -1]]).all()
+    assert np.array_equal(h, h0) and np.array_equal(u, u0)
+    # A slice gives the same rows as the index array of that slice.
+    assert np.array_equal(basis_module._blend(h, u, tau, slice(20, 90)),
+                          basis_module._blend(h, u, tau, np.arange(20, 90)))
+
+
+def test_the_walk_never_writes_its_input():
+    g = random_connected_graph(40, 0.15, seed=33)
+    op = propagation_operator(g)
+    X = stream(33, "sig").standard_normal((40, 5))
+    X[:, 2] = 0.0
+    before = X.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for b in _all_constructors(op, X, 6):
+            assert np.array_equal(X, before), b.kind

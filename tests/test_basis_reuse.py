@@ -2,17 +2,19 @@
 on its first hops; every report must equal a run that builds its own basis."""
 
 import itertools
+import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from unifilter import cli
 from unifilter import model as model_module
 from unifilter.basis import ORTHONORMAL, UNI
 from unifilter.datasets import (TreeSpec, ablation_basis_variants, make_splits,
                                 one_hot_features, oversquashing_experiment,
-                                planted_homophily_graph)
+                                planted_homophily_graph, write_dataset)
 from unifilter.graph import LabeledDataset, Split
 from unifilter.model import TrainConfig, random_search, train, train_runs
 from unifilter.rng import stream, substream_seed
@@ -159,6 +161,33 @@ def test_random_search_builds_one_basis_per_tau(dataset, builds):
         assert _same(report, train(dataset, cfg))
     first_best = max(range(len(results)), key=lambda i: (results[i][1].best_val_acc, -i))
     assert (best_cfg, best) == results[first_best]
+    # The winner's model comes back with it: the one its own run restores.
+    builds.clear()
+    again_cfg, again, _, model = random_search(dataset, base, trials=6, seed=3,
+                                               tau_grid=[0.2, 0.8], return_model=True)
+    assert again_cfg == best_cfg and _same(again, best) and len(builds) == 2
+    assert np.array_equal(model.params, train(dataset, best_cfg, return_model=True)[1].params)
+
+
+def test_train_search_builds_each_group_once_and_trains_no_winner_again(dataset, builds,
+                                                                        tmp_path):
+    write_dataset(dataset, tmp_path / "in")
+    argv = ["train", *(f"--{f}={tmp_path / 'in' / f}.{x}" for f, x in (
+        ("edges", "txt"), ("features", "csv"), ("labels", "txt"), ("split", "json"))),
+            "--hops=2", "--max-epochs=15", "--patience=15", "--seed=3", "--search=4",
+            f"--out-dir={tmp_path / 'out'}"]
+    assert cli.main(argv) == 0
+    assert builds == [(2, TrainConfig().tau, UNI)]
+    # The written files are the winner's own run, as a separate `train` makes it.
+    best_cfg, _, _ = random_search(dataset, replace(TrainConfig(), hops=2, max_epochs=15,
+                                                    patience=15, seed=3), trials=4, seed=3)
+    report, model = train(dataset, best_cfg, return_model=True)
+    out = tmp_path / "out"
+    assert json.loads((out / "report.json").read_text()) == json.loads(
+        json.dumps(report.to_dict()))
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["w"] == model.w.tolist()
+    assert checkpoint["config"] == asdict(replace(best_cfg, h_hat=report.h_hat))
 
 
 def test_counts_below_one_raise_before_any_run(dataset, builds):

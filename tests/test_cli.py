@@ -592,9 +592,11 @@ def test_hom_ratio_out_of_range_exits_two_in_every_command(toy_dir, tmp_path, co
     ("train", "--max-epochs", 0, "max_epochs must be >= 1"),
     ("train", "--layers", 7, "layers must lie in [2, 6]"),
     ("train", "--patience", 0, "patience must be >= 1"),
-    ("train", "--lr", -1, "rates must be >= 0"),
+    ("train", "--lr", -1, "lr must be >= 0"),
     ("train", "--dropout", 1.0, "dropout must be < 1"),
-    ("train", "--lr", "nan", "rates must be finite"),
+    ("train", "--lr", "nan", "lr must be finite"),
+    ("train", "--weight-decay", -1, "weight_decay must be >= 0"),
+    ("train", "--dropout", "nan", "dropout must be finite"),
     ("basis", "--hops", -1, "hops must be >= 0"),
     ("ablate", "--hidden", 0, "hidden must be >= 1"),
     ("tree", "--depth", 1, "depth must be >= 2"),

@@ -378,10 +378,13 @@ def test_config_validation():
                          ("self_loops", 1), ("raw_homophily", None)):
         with pytest.raises(TypeError, match=f"^{field} must be "):
             TrainConfig(**{field: value})
+    # Each rate's message names its field.
     for field in ("lr", "weight_decay", "dropout"):
-        with pytest.raises(ValueError, match=r"^rates must be finite$"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             TrainConfig(**{field: float("nan")})
-    with pytest.raises(ValueError, match=r"^rates must be finite$"):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            TrainConfig(**{field: -1.0})
+    with pytest.raises(ValueError, match=r"^lr must be finite$"):
         TrainConfig(lr=float("inf"))
     TrainConfig(hops=np.int64(3), tau=np.float64(0.25), lr=1, h_hat=None)
 
