@@ -249,20 +249,13 @@ def _blend(h: np.ndarray, u: np.ndarray, tau: float, rows: np.ndarray | slice = 
            out: np.ndarray | None = None) -> np.ndarray:
     """The rows `rows` of the uni hop tau*h + (1-tau)*u, written into `out`
     when one is given; tau=1 and tau=0 give the rows of h and u themselves.
-    h and u are never written. A slice is mixed straight into `out`, the
-    second term added into the first's array. An index array is gathered from
-    the whole mixed block, so a strided `out` (a hop of the node-major basis)
-    is written once rather than read and written again; the terms are
-    elementwise, so the bits are the same."""
+    h and u are never written. Each term is taken over the rows alone and
+    their sum is written into `out` once, so a strided `out` (a hop of the
+    node-major basis) is not read back, and a partial split blends only its
+    own rows."""
     if tau == 1.0 or tau == 0.0:
         return _hop_rows(h if tau == 1.0 else u, rows, out)
-    if not isinstance(rows, slice):
-        mixed = tau * h
-        mixed += (1.0 - tau) * u
-        return _hop_rows(mixed, rows, out)
-    out = np.multiply(tau, h[rows], out=out)
-    out += (1.0 - tau) * u[rows]
-    return out
+    return np.add(tau * _hop_rows(h, rows), (1.0 - tau) * _hop_rows(u, rows), out=out)
 
 
 def _recipe(kind: str, *, h_hat: float | None = None, tau: float | None = None,

@@ -127,8 +127,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config(args, **given)
     ds = _load_dataset_args(args)
     if args.search:
-        cfg, report, _, model = random_search(ds, cfg, trials=args.search, seed=args.seed,
-                                              return_model=True)
+        cfg, report, _, model = random_search(ds, cfg, trials=args.search, seed=args.seed)
         for key in SEARCH_SPACE:
             print(f"search_{key}={getattr(cfg, key)!r}")
     else:

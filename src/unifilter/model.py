@@ -604,9 +604,9 @@ def _checkpoint_model(payload) -> tuple[FilterModel, dict]:
     return FilterModel(params, shapes, float(cfg.get("dropout", 0.0))), cfg
 
 
-def _grouped_runs(dataset: LabeledDataset, cfgs: list[TrainConfig], **kwargs):
-    """Yields `(i, train(dataset, cfgs[i], **kwargs))` for every i, bit for bit,
-    building each distinct basis once.
+def _grouped_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]):
+    """Yields `(i, train(dataset, cfgs[i], return_model=True))` for every i,
+    bit for bit, building each distinct basis once.
 
     Configs with equal basis recipes name one basis up to its hop count, and
     a basis at K holds the one at k <= K as its hops 0..k (the hop-prefix
@@ -623,7 +623,8 @@ def _grouped_runs(dataset: LabeledDataset, cfgs: list[TrainConfig], **kwargs):
     for members in groups.values():
         built = _training_basis(dataset, resolved[max(members, key=lambda i: cfgs[i].hops)])
         for i in members:
-            yield i, train(dataset, cfgs[i], basis=built[:, :cfgs[i].hops + 1], **kwargs)
+            yield i, train(dataset, cfgs[i], basis=built[:, :cfgs[i].hops + 1],
+                           return_model=True)
         del built  # before the next group's build
 
 
@@ -631,7 +632,7 @@ def train_runs(dataset: LabeledDataset, cfgs: list[TrainConfig]) -> list[TrainRe
     """`[train(dataset, cfg) for cfg in cfgs]`, bit for bit, building each
     distinct basis once (`_grouped_runs`)."""
     reports: list[TrainReport] = [None] * len(cfgs)  # type: ignore[list-item]
-    for i, report in _grouped_runs(dataset, cfgs):
+    for i, (report, _) in _grouped_runs(dataset, cfgs):
         reports[i] = report
     return reports
 
@@ -642,13 +643,11 @@ def random_search(
     trials: int,
     seed: int = 0,
     tau_grid: list[float] | None = None,
-    return_model: bool = False,
-):
+) -> tuple[TrainConfig, TrainReport, list[tuple[TrainConfig, TrainReport]], FilterModel]:
     """Random search over the standard ranges; best trial by validation accuracy,
-    the first of equals. Returns the best trial's config and report and every
-    (config, report); with `return_model` also the best trial's restored
-    model. Every trial's config is drawn first, so trials that share a tau
-    share a basis."""
+    the first of equals. Returns the best trial's config, report and restored
+    model, with every (config, report) before the model. Every trial's config
+    is drawn first, so trials that share a tau share a basis."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = stream(seed, "hyper-search")
@@ -662,12 +661,10 @@ def random_search(
     # so a tie goes to the lower index, the trial `max` would pick.
     reports: list[TrainReport] = [None] * trials  # type: ignore[list-item]
     best, model = -1, None
-    for i, (report, run_model) in _grouped_runs(dataset, cfgs, return_model=True):
+    for i, (report, run_model) in _grouped_runs(dataset, cfgs):
         reports[i] = report
         if best < 0 or (report.best_val_acc, -i) > (reports[best].best_val_acc, -best):
             best, model = i, run_model
         del run_model
     results = list(zip(cfgs, reports))
-    if return_model:
-        return (*results[best], results, model)
-    return (*results[best], results)
+    return (*results[best], results, model)

@@ -391,7 +391,7 @@ def test_cora_accuracy_dataset_gated():
                        max_epochs=1000, seed=0)
     first = LabeledDataset(graph=ds.graph, features=ds.features, labels=ds.labels,
                            split=splits[0], num_classes=ds.num_classes)
-    best_cfg, _, _ = random_search(first, base, trials=15, seed=0)
+    best_cfg, _, _, _ = random_search(first, base, trials=15, seed=0)
 
     accs, hhats = [], []
     for i, split in enumerate(splits):

@@ -333,7 +333,7 @@ def test_random_search_returns_best_by_validation():
 
     ds = toy_two_cluster(seed=7)
     base = TrainConfig(hops=2, tau=0.5, patience=15, max_epochs=40, seed=2)
-    best_cfg, best_report, results = random_search(ds, base, trials=3, seed=1)
+    best_cfg, best_report, results, _ = random_search(ds, base, trials=3, seed=1)
     assert len(results) == 3
     assert best_report.best_val_acc == max(r.best_val_acc for _, r in results)
     assert best_cfg.lr in (0.001, 0.005, 0.01, 0.05, 0.1, 0.15, 0.2)
