@@ -35,8 +35,8 @@ _ZERO_NORM = 1e-300
 # Bytes of one n x width block array. A uni walk keeps about seven of them
 # alive (7.05 by tracemalloc), 24.7 MiB above a 326 MiB result at Cora shape.
 # A 127 x 100 tree signal still fits in one block; a 50k x 16 signal splits
-# into widths 9 + 7: the same bits, and a build as fast as one 16-wide block's
-# (1.51 against 1.58 s, medians of 6 cold builds at one BLAS thread).
+# into widths 9 + 7: the same bits, but its build takes about 17% longer
+# (1.43 against 1.22 s, medians of 6 cold builds at one BLAS thread).
 # Training forms its first layer's input gradient in row chunks of this size.
 _BLOCK_BYTES = 7 << 19
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep

@@ -133,7 +133,8 @@ def test_a_build_at_k_is_the_first_hops_of_the_build_at_K(case):
                             num_classes=2)
         seen = {}
         with mock.patch.object(model_module, "train",
-                               lambda dataset, cfg, basis: seen.setdefault(cfg.hops, basis)):
+                               lambda dataset, cfg, basis, return_model:
+                               (seen.setdefault(cfg.hops, basis), None)):
             cfg = _config(kind, recipe, K)
             train_runs(ds, [replace(cfg, hops=k), cfg])
     assert short.hops == k
