@@ -32,12 +32,15 @@ EXHAUSTION_TOL = 1e-10
 # Below this cos(theta) the update factor overflows; the exact limit is u_k = v_k.
 COS_UNDERFLOW_TOL = 1e-8
 _ZERO_NORM = 1e-300
-# Bytes of one n x width block array. A uni walk keeps about seven of them
-# alive (7.05 by tracemalloc), 24.7 MiB above a 326 MiB result at Cora shape.
-# A 127 x 100 tree signal still fits in one block; a 50k x 16 signal splits
-# into widths 9 + 7: the same bits, but its build takes about 17% longer
-# (1.43 against 1.22 s, medians of 6 cold builds at one BLAS thread).
-# Training forms its first layer's input gradient in row chunks of this size.
+# Bytes of one n x width block array at most: `_blocks` spreads the columns
+# evenly over as few blocks as fit. A uni walk keeps about seven block arrays
+# alive (7.03 by tracemalloc), 23.2 MiB above a 326 MiB result at Cora shape,
+# whose 1433 columns walk as 160, 160, then 159 x 7. A 127 x 100 tree signal
+# fits in one block; a 50k x 16 signal walks 8 + 8 columns. One 16-wide block
+# gives the same bits and built about 17% faster than 9 + 7 did (1.22 against
+# 1.43 s, medians of 6 cold builds at one BLAS thread), but its arrays are
+# twice as wide. Training forms its first layer's input gradient in row
+# chunks of this size.
 _BLOCK_BYTES = 7 << 19
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -133,18 +136,22 @@ def _outside_stacklevel() -> int:
 
 
 def _blocks(n: int, d: int) -> list[slice]:
-    """Slices of range(d) of _BLOCK_BYTES per n x width array, each at least 2
-    wide: the walk's column blocks, and training's row chunks as `_blocks(row
-    width, rows)`.
+    """Slices of range(d), in order, for n x width arrays of at most
+    _BLOCK_BYTES (but at least 2 wide): the walk's column blocks, and
+    training's row chunks as `_blocks(row width, rows)`.
 
-    numpy sums a lone (n, 1) column pairwise but wider blocks row by row,
-    and BLAS multiplies a lone row by another routine than a matrix, so a
-    1-wide remainder would change the last bits; it joins the slice before it.
+    The count is what the budget needs, ceil(d / width), but at most d // 2,
+    and the columns are spread evenly over it, the wider slices first: the
+    widths differ by at most 1, so no block array is sized for more columns
+    than its block walks. numpy sums a lone (n, 1) column pairwise but wider
+    blocks row by row, and BLAS multiplies a lone row by another routine than
+    a matrix, so a 1-wide slice would change the last bits; with d >= 2 every
+    slice is at least 2 wide.
     """
     width = max(2, _BLOCK_BYTES // (8 * max(n, 1)))
-    edges = list(range(0, d, width)) + [d]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
+    count = min(-(-d // width), max(d // 2, 1))
+    size, wider = divmod(d, count or 1)
+    edges = [i * size + min(i, wider) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 

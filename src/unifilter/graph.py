@@ -23,13 +23,22 @@ SELF_LOOPS = "self-loops"
 FALLBACK_HOMOPHILY = 0.5
 
 
+def _index_dtype(largest: int) -> type:
+    """The dtype of CSR index arrays whose values reach `largest`: int32 when
+    it fits, as scipy stores them, else int64."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass
 class Graph:
     """Undirected graph: CSR adjacency plus a per-node degree vector.
 
     Invariants enforced at construction: symmetric adjacency, no
     self-loops, no duplicate edges, degrees[u] == len(neighbors(u)) and
-    sum(degrees) == 2*m.
+    sum(degrees) == 2*m. A built graph's `indptr` and `indices` are int32
+    unless 2*m or n passes int32's range (`_index_dtype`), and all three of
+    its arrays are read-only: the operator without self-loops shares the
+    index arrays instead of copying them.
     """
 
     n: int
@@ -66,8 +75,12 @@ class Graph:
         both.sort(kind="stable")
         degrees = np.bincount(both // n, minlength=n).astype(np.int64)
         np.remainder(both, n, out=both)
-        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-        return cls(n=int(n), m=len(keys), indptr=indptr, indices=both, degrees=degrees)
+        index = _index_dtype(max(len(both), n))
+        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(index)
+        indices = both.astype(index, copy=False)
+        for a in (indptr, indices, degrees):
+            a.flags.writeable = False
+        return cls(n=int(n), m=len(keys), indptr=indptr, indices=indices, degrees=degrees)
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -192,8 +205,10 @@ class PropagationOperator:
     P is held in compressed sparse row form: row i has the values
     `data[indptr[i]:indptr[i+1]]` at the columns `indices[indptr[i]:indptr[i+1]]`,
     sorted. `indptr` and `indices` are int32 unless nnz passes int32's range,
-    as scipy stores them. Never materialized densely; `apply` is one call of
-    scipy's compiled CSR kernel, so a single application costs O(m + n).
+    as scipy stores them (`_index_dtype`). Without self-loops they are the
+    graph's own read-only arrays, so the operator adds only `data`; with
+    self-loops it holds its own. Never materialized densely; `apply` is one
+    call of scipy's compiled CSR kernel, so a single application costs O(m + n).
     """
 
     kind: str
@@ -251,9 +266,9 @@ def propagation_operator(g: Graph, kind: str = NO_SELF_LOOPS) -> PropagationOper
         indices = np.insert(indices, at, np.arange(g.n))
         indptr, degrees = indptr + np.arange(g.n + 1), degrees + 1
     data = np.repeat(dinv, degrees) * dinv[indices]
-    index = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64
-    return PropagationOperator(kind=kind, graph=g, indptr=indptr.astype(index),
-                               indices=indices.astype(index), data=data)
+    index = _index_dtype(indptr[-1])
+    return PropagationOperator(kind=kind, graph=g, indptr=indptr.astype(index, copy=False),
+                               indices=indices.astype(index, copy=False), data=data)
 
 
 def homophily_ratio(g: Graph, labels: np.ndarray) -> float:

@@ -509,13 +509,15 @@ def train(
             val_logits = ahead[0][ntr:]
             # The count over the size: the sum and the division np.mean makes.
             val_acc = float(np.count_nonzero(np.argmax(val_logits, axis=1) == yva) / yva.size)
-            val_loss = _cross_entropy(val_logits, yva, grad=False)[0]
             curve.append((epoch, train_loss, val_acc))
 
             improved_acc = val_acc > best_acc
-            if improved_acc or (val_acc == best_acc and val_loss < best_loss):
-                best_acc, best_loss, best_epoch = val_acc, val_loss, epoch
-                np.copyto(best_params, model.params)
+            # The validation loss is read only by a new best or its tie-break.
+            if val_acc >= best_acc:
+                val_loss = _cross_entropy(val_logits, yva, grad=False)[0]
+                if improved_acc or val_loss < best_loss:
+                    best_acc, best_loss, best_epoch = val_acc, val_loss, epoch
+                    np.copyto(best_params, model.params)
             # Patience counts epochs without an accuracy improvement; the loss
             # tie-break only selects which checkpoint to keep.
             if improved_acc:

@@ -371,17 +371,21 @@ def test_column_blocks_do_not_change_results(monkeypatch):
     X[:, 4] = 0.0
     blocks = [(s.start, s.stop) for s in basis_module._blocks(30, 7)]
     assert blocks == [(0, 7)]
+    # Two columns' worth of bytes: three blocks, the wider first. Then drawn
+    # budgets, which reach each of the three splits the rule makes of 7 columns.
+    budgets = [2 * 8 * 30] + stream(23, "budgets").integers(0, 8 * 8 * 30, size=6).tolist()
+    splits = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         whole = list(_all_constructors(op, X, 8))
-        # Two columns' worth of bytes: blocks of 2, the lone last column joined.
-        monkeypatch.setattr(basis_module, "_BLOCK_BYTES", 2 * 8 * 30)
-        assert [(s.start, s.stop) for s in basis_module._blocks(30, 7)] == [(0, 2), (2, 4), (4, 7)]
-        split = list(_all_constructors(op, X, 8))
-    for a, b in zip(whole, split):
-        assert np.array_equal(a.matrices, b.matrices), a.kind
-        assert a.degenerate_columns == b.degenerate_columns
-        assert a.clamp_events == b.clamp_events
+        for budget in budgets:
+            monkeypatch.setattr(basis_module, "_BLOCK_BYTES", budget)
+            splits.add(tuple((s.start, s.stop) for s in basis_module._blocks(30, 7)))
+            for a, b in zip(whole, _all_constructors(op, X, 8)):
+                assert np.array_equal(a.matrices, b.matrices), (a.kind, budget)
+                assert a.degenerate_columns == b.degenerate_columns
+                assert a.clamp_events == b.clamp_events
+    assert ((0, 3), (3, 5), (5, 7)) in splits and len(splits) == 3, splits
 
 
 def test_unibasis_peak_memory_stays_near_its_result(monkeypatch):

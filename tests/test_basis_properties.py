@@ -28,6 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import random_connected_graph  # noqa: E402
 from test_fused_training import _hop_major  # noqa: E402
 from test_fused_training import _loss_and_grads as all_rows_loss_and_grads  # noqa: E402
+from unifilter import basis as basis_module  # noqa: E402
 from unifilter import model as model_module  # noqa: E402
 from unifilter.basis import make_basis, walk_spectrum  # noqa: E402
 from unifilter.graph import LabeledDataset, Split, propagation_operator  # noqa: E402
@@ -163,3 +164,29 @@ def test_slab_loss_and_gradient_equal_the_all_rows_computation(case, layers, cla
     want_loss, want = all_rows_loss_and_grads(model, _hop_major(basis), labels, idx)
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _fixed_width_widest(n: int, d: int) -> int:
+    """The widest slice of fixed-width blocks, the earlier rule: slices of the
+    budget's width from column 0, a lone last column joined to the one before."""
+    width = max(2, basis_module._BLOCK_BYTES // (8 * max(n, 1)))
+    edges = list(range(0, d, width)) + [d]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return max(b - a for a, b in zip(edges, edges[1:]))
+
+
+@SETTINGS
+@given(st.integers(0, 10**5), st.integers(0, 3000), st.integers(0, 2**28))
+def test_blocks_split_the_columns_evenly_within_the_budget(n, d, budget):
+    with mock.patch.object(basis_module, "_BLOCK_BYTES", budget):
+        blocks = basis_module._blocks(n, d)
+        widest = _fixed_width_widest(n, d) if d else 0
+    # In order, covering range(d) once.
+    assert [c for s in blocks for c in range(d)[s]] == list(range(d))
+    widths = [s.stop - s.start for s in blocks]
+    if d >= 2:
+        assert min(widths) >= 2, widths
+    # Even, the wider first, and never wider than the fixed-width rule's widest.
+    assert widths == sorted(widths, reverse=True) and widths[0] - widths[-1] <= 1 if d else not blocks
+    assert max(widths, default=0) <= widest, (widths, widest)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import er_graph, path_graph, random_connected_graph, triangle, two
 from oracles import dense_operator
 from unifilter import graph as graph_module
 from unifilter.graph import (
+    SELF_LOOPS,
     Graph,
     PropagationOperator,
     Split,
@@ -276,3 +279,47 @@ def test_hand_built_operator_with_a_broken_csr_structure_is_rejected(edit):
         data = np.append(data, 1.0)
     with pytest.raises(ValueError, match="^indptr, indices and data do not form a 3 x 3 CSR matrix$"):
         PropagationOperator(op.kind, op.graph, indptr, indices, data)
+
+
+def _ring_with_chords(n: int, m: int, seed: int) -> Graph:
+    """A ring on n nodes plus random chords: about m edges, no isolated node."""
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    pairs = np.concatenate([ring, stream(seed, "chords").integers(0, n, (m - n, 2))])
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keys = np.unique(lo[lo < hi] * n + hi[lo < hi])
+    return Graph.from_edges(np.stack(np.divmod(keys, n), axis=1), n)
+
+
+def test_operator_without_self_loops_shares_the_graphs_index_arrays():
+    # One CSR: the graph's int32 index arrays serve the operator, which adds
+    # only its values. A copy of both index arrays would retain 4 nnz more.
+    g = _ring_with_chords(20000, 200000, 5)
+    nnz = g.indices.size
+    assert g.m > 190000 and g.indptr.dtype == g.indices.dtype == np.int32
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = propagation_operator(g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(op.indptr, g.indptr) and np.shares_memory(op.indices, g.indices)
+    assert retained <= 8 * nnz + 8 * (g.n + 1) + 4096, (retained, nnz)
+    loops = propagation_operator(g, SELF_LOOPS)
+    assert loops.indptr.dtype == loops.indices.dtype == np.int32
+    assert not np.shares_memory(loops.indptr, g.indptr)
+    assert not np.shares_memory(loops.indices, g.indices)
+
+
+@pytest.mark.parametrize("name", ["indptr", "indices", "degrees"])
+def test_a_built_graphs_arrays_are_read_only(tmp_path, name):
+    f = tmp_path / "edges.txt"
+    f.write_text("0 1\n1 2\n0 2\n")
+    for g in (triangle(), load_graph(f, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1
+
+
+def test_index_dtype_is_int32_up_to_its_largest_value():
+    assert graph_module._index_dtype(2**31 - 1) is np.int32
+    assert graph_module._index_dtype(2**31) is np.int64

@@ -39,7 +39,10 @@ def reference_from_edges(edges: np.ndarray, n: int) -> Graph:
     rows, cols = rows[order], cols[order]
     degrees = np.bincount(rows, minlength=n).astype(np.int64)
     indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    return Graph(n=int(n), m=int(m), indptr=indptr, indices=cols, degrees=degrees)
+    # A built graph stores its CSR index arrays as int32 when 2m and n fit.
+    index = np.int32 if max(2 * m, n) <= 2**31 - 1 else np.int64
+    return Graph(n=int(n), m=int(m), indptr=indptr.astype(index), indices=cols.astype(index),
+                 degrees=degrees)
 
 
 def reference_load_graph(path: str | Path, n: int) -> Graph:

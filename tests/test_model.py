@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_connected_graph
 from unifilter import basis as basis_module
+from unifilter import model as model_module
 from unifilter.basis import make_basis
 from unifilter.graph import Graph, LabeledDataset, propagation_operator
 from unifilter.datasets import make_splits, planted_homophily_graph
@@ -269,6 +270,32 @@ def test_epoch_holds_one_hidden_slab_at_a_time(monkeypatch):
         tracemalloc.stop()
     slabs = (peak - 1.25 * z) / (hidden / d * z)
     assert slabs <= 1.5, slabs
+
+
+def test_validation_loss_is_computed_only_for_a_new_best_or_a_tie(monkeypatch):
+    # The loss breaks ties in validation accuracy; an epoch below the best
+    # reads none, so none is made. The run's validation accuracy falls below
+    # its best, so fewer losses than epochs, and the report keeps its bits.
+    g, labels = planted_homophily_graph(200, 600, 3, 0.3, seed=5)
+    ds = LabeledDataset(graph=g, features=stream(5, "features").standard_normal((200, 8)),
+                        labels=labels, split=make_splits(200, "60/20/20", 1, 5)[0],
+                        num_classes=3)
+    cfg = TrainConfig(hops=3, hidden=8, max_epochs=40, patience=40, seed=0)
+    want = train(ds, cfg)
+    losses = []
+
+    def counted(logits, y, grad=True):
+        if not grad:
+            losses.append(y.size)
+        return _cross_entropy(logits, y, grad)
+
+    monkeypatch.setattr(model_module, "_cross_entropy", counted)
+    got = train(ds, cfg)
+    accs = [acc for _, _, acc in got.loss_curve]
+    read = sum(acc >= max(accs[:i], default=-1.0) for i, acc in enumerate(accs))
+    assert len(losses) == read < got.epochs_run, (len(losses), read, got.epochs_run)
+    assert set(losses) == {ds.split.val.size}
+    assert got.to_dict() == want.to_dict() and got.loss_curve == want.loss_curve
 
 
 def test_train_deterministic_bitwise():
