@@ -188,5 +188,6 @@ def test_blocks_split_the_columns_evenly_within_the_budget(n, d, budget):
     if d >= 2:
         assert min(widths) >= 2, widths
     # Even, the wider first, and never wider than the fixed-width rule's widest.
-    assert widths == sorted(widths, reverse=True) and widths[0] - widths[-1] <= 1 if d else not blocks
+    assert widths == sorted(widths, reverse=True), widths
+    assert max(widths, default=0) - min(widths, default=0) <= 1, widths
     assert max(widths, default=0) <= widest, (widths, widest)
